@@ -15,9 +15,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpr_bench::{attainable_watts, make_instance, make_jobs};
 use mpr_core::{
-    ChainLevel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
-    InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod,
-    VcgMechanism, Watts,
+    EqlMechanism, FallbackChain, InteractiveConfig, InteractiveMechanism, MarketInstance,
+    MclrMechanism, Mechanism, OptMechanism, OptMethod, VcgMechanism, Watts,
 };
 
 const SIZES: &[usize] = &[1_000, 10_000, 100_000];
@@ -42,15 +41,9 @@ fn mechanisms(n: usize) -> Vec<(&'static str, Box<dyn Mechanism>)> {
         ("eql", Box::new(EqlMechanism)),
         (
             "chain",
-            Box::new(
-                FallbackChain::new()
-                    .stage(
-                        ChainLevel::Interactive,
-                        InteractiveMechanism::best_effort(int_config()),
-                    )
-                    .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-                    .stage(ChainLevel::EqlCapping, EqlCappingMechanism),
-            ),
+            Box::new(FallbackChain::degradation(
+                InteractiveMechanism::best_effort(int_config()),
+            )),
         ),
     ];
     if n <= VCG_MAX_N {

@@ -27,10 +27,7 @@ fn bench_welfare(c: &mut Criterion) {
     let jobs = make_jobs(1000);
     let instance = make_instance(&jobs);
     let target = Watts::new(0.3 * attainable_watts(&jobs));
-    let clearing = MclrMechanism::strict()
-        .clear(&instance, target)
-        .unwrap()
-        .to_market_clearing();
+    let clearing = MclrMechanism::strict().clear(&instance, target).unwrap();
     let costs: Vec<_> = jobs.iter().map(|j| j.cost.clone()).collect();
     let w: Vec<f64> = jobs
         .iter()

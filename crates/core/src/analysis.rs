@@ -9,7 +9,7 @@
 
 use crate::cost::CostModel;
 use crate::error::MarketError;
-use crate::market::Clearing;
+use crate::mechanism::Clearing;
 use crate::opt::{self, OptJob, OptMethod};
 use crate::units::Watts;
 
@@ -44,32 +44,32 @@ impl Welfare {
 }
 
 /// Evaluates a clearing's welfare against the participants' *true* cost
-/// models, given in the clearing's allocation order.
+/// models, given in the clearing's row order.
 ///
 /// # Errors
 ///
 /// Returns [`MarketError::InvalidParameter`] when the cost-model count
-/// disagrees with the allocation count, and propagates OPT solver errors.
+/// disagrees with the clearing's row count, and propagates OPT solver
+/// errors.
 pub fn evaluate<C: CostModel>(
     clearing: &Clearing,
     true_costs: &[C],
     watts_per_unit: &[f64],
 ) -> Result<Welfare, MarketError> {
-    if true_costs.len() != clearing.allocations().len() || watts_per_unit.len() != true_costs.len()
-    {
+    if true_costs.len() != clearing.len() || watts_per_unit.len() != true_costs.len() {
         return Err(MarketError::InvalidParameter {
             name: "true_costs",
             value: true_costs.len() as f64,
-            constraint: "must match the clearing's allocation count",
+            constraint: "must match the clearing's row count",
         });
     }
     let realized_cost: f64 = clearing
-        .allocations()
+        .reductions()
         .iter()
         .zip(true_costs)
-        .map(|(a, c)| c.cost(a.reduction))
+        .map(|(r, c)| c.cost(*r))
         .sum();
-    let payment = clearing.total_reward_rate();
+    let payment = clearing.total_payment_rate().get();
     let delivered = clearing.total_power_reduction();
     let optimal_cost = if delivered.get() > 1e-12 {
         let jobs: Vec<OptJob<'_>> = true_costs
@@ -95,9 +95,11 @@ mod tests {
     use super::*;
     use crate::bidding::StaticStrategy;
     use crate::cost::QuadraticCost;
-    use crate::market::interactive::{InteractiveConfig, InteractiveMarket, NetGainAgent};
-    use crate::market::static_market::StaticMarket;
-    use crate::participant::Participant;
+    use crate::market::interactive::InteractiveConfig;
+    use crate::mechanism::{
+        InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, ParticipantSpec,
+    };
+    use std::sync::Arc;
 
     fn costs() -> Vec<QuadraticCost> {
         [1.0, 2.0, 4.0, 8.0]
@@ -106,18 +108,27 @@ mod tests {
             .collect()
     }
 
+    /// Cooperative standing bids (MPR-STAT) and cost curves (MPR-INT).
+    fn instance(cs: &[QuadraticCost]) -> MarketInstance {
+        cs.iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let bid = StaticStrategy::Cooperative.supply_for(c).unwrap().bid();
+                ParticipantSpec::new(i as u64, c.delta_max(), Watts::new(125.0))
+                    .with_bid(bid)
+                    .with_cost(Arc::new(*c))
+            })
+            .collect()
+    }
+
     #[test]
     fn interactive_market_is_near_optimal() {
         let cs = costs();
-        let agents: Vec<Box<dyn crate::market::interactive::BiddingAgent>> = cs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Box::new(NetGainAgent::new(i as u64, *c, Watts::new(125.0))) as _)
-            .collect();
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let out = m.clear(Watts::new(250.0)).unwrap();
+        let clearing = InteractiveMechanism::strict(InteractiveConfig::default())
+            .clear(&instance(&cs), Watts::new(250.0))
+            .unwrap();
         let w = vec![125.0; cs.len()];
-        let welfare = evaluate(&out.clearing, &cs, &w).unwrap();
+        let welfare = evaluate(&clearing, &cs, &w).unwrap();
         let eff = welfare.efficiency().unwrap();
         assert!(eff > 0.9, "MPR-INT efficiency {eff} should be near 1");
         assert!(welfare.user_surplus >= -1e-9, "users never lose");
@@ -126,18 +137,9 @@ mod tests {
     #[test]
     fn static_market_efficiency_is_lower_but_positive() {
         let cs = costs();
-        let market: StaticMarket = cs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                Participant::new(
-                    i as u64,
-                    StaticStrategy::Cooperative.supply_for(c).unwrap(),
-                    Watts::new(125.0),
-                )
-            })
-            .collect();
-        let clearing = market.clear(Watts::new(250.0)).unwrap();
+        let clearing = MclrMechanism::strict()
+            .clear(&instance(&cs), Watts::new(250.0))
+            .unwrap();
         let w = vec![125.0; cs.len()];
         let welfare = evaluate(&clearing, &cs, &w).unwrap();
         let eff = welfare.efficiency().unwrap();
@@ -149,26 +151,21 @@ mod tests {
     #[test]
     fn mismatched_lengths_error() {
         let cs = costs();
-        let market: StaticMarket = cs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                Participant::new(
-                    i as u64,
-                    StaticStrategy::Cooperative.supply_for(c).unwrap(),
-                    Watts::new(125.0),
-                )
-            })
-            .collect();
-        let clearing = market.clear(Watts::new(100.0)).unwrap();
+        let clearing = MclrMechanism::strict()
+            .clear(&instance(&cs), Watts::new(100.0))
+            .unwrap();
         let err = evaluate(&clearing, &cs[..2], &[125.0, 125.0]).unwrap_err();
         assert!(matches!(err, MarketError::InvalidParameter { .. }));
     }
 
     #[test]
     fn empty_clearing_has_no_efficiency() {
-        let clearing = Clearing::new(crate::units::Price::ZERO, Watts::ZERO, Vec::new(), 1);
-        let welfare = evaluate::<QuadraticCost>(&clearing, &[], &[]).unwrap();
+        let cs = costs();
+        let clearing = MclrMechanism::strict()
+            .clear(&instance(&cs), Watts::ZERO)
+            .unwrap();
+        let w = vec![125.0; cs.len()];
+        let welfare = evaluate(&clearing, &cs, &w).unwrap();
         assert_eq!(welfare.efficiency(), None);
         assert_eq!(welfare.user_surplus, 0.0);
     }

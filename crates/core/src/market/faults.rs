@@ -11,12 +11,16 @@
 //!   mid-negotiation) and [`ByzantineAgent`] (over/under-bids by a factor,
 //!   optionally oscillating). All are deterministic given their seeds, so
 //!   simulations reproduce bit-for-bit.
-//! * **Graceful degradation** — [`ResilientInteractiveMarket`], an
-//!   MPR-INT driver that bounds each round with a retry budget (the
-//!   synchronous stand-in for a response deadline with backoff), quarantines
-//!   defaulting participants and re-clears MClr over the survivors, detects
-//!   price oscillation with a convergence watchdog, and walks an explicit
-//!   degradation chain:
+//! * **Graceful degradation** — the settings ([`ResilientConfig`]),
+//!   diagnostics ([`Quarantine`], [`ChainLevel`]) and
+//!   [`ConvergenceWatchdog`] of the fault-tolerant exchange. The exchange
+//!   ([`ResilientInteractiveMechanism`](crate::mechanism::ResilientInteractiveMechanism))
+//!   bounds each round with a retry budget (the synchronous stand-in for a
+//!   response deadline with backoff), quarantines defaulting participants
+//!   and re-clears MClr over the survivors, and detects price oscillation
+//!   with the watchdog;
+//!   [`FallbackChain::degradation`](crate::mechanism::FallbackChain::degradation)
+//!   then walks an explicit degradation chain:
 //!
 //!   1. **MPR-INT** over the responsive agents;
 //!   2. **MPR-STAT** over *all* agents, pricing quarantined jobs at their
@@ -28,13 +32,7 @@
 
 use crate::error::MarketError;
 use crate::market::interactive::{BiddingAgent, InteractiveConfig};
-use crate::market::Clearing;
-use crate::mechanism::{
-    EqlCappingMechanism, FallbackChain, MclrMechanism, Mechanism, MechanismError,
-    ResilientInteractiveMechanism,
-};
 use crate::participant::JobId;
-use crate::units::{Price, Watts};
 
 // ---------------------------------------------------------------------------
 // Deterministic seeding
@@ -371,7 +369,9 @@ pub struct Quarantine {
     pub error: MarketError,
 }
 
-/// Tuning knobs for [`ResilientInteractiveMarket`].
+/// Tuning knobs for the fault-tolerant exchanges
+/// ([`ResilientInteractiveMechanism`](crate::mechanism::ResilientInteractiveMechanism),
+/// [`TransportedInteractiveMechanism`](crate::mechanism::TransportedInteractiveMechanism)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilientConfig {
     /// The underlying interactive-market configuration.
@@ -400,189 +400,17 @@ impl Default for ResilientConfig {
     }
 }
 
-/// Outcome of a resilient clearing: the final [`Clearing`] plus the full
-/// degradation diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOutcome {
-    /// The final clearing (price, allocations). Quarantined jobs appear
-    /// with the reduction imposed by whichever chain level produced the
-    /// clearing (zero at [`ChainLevel::Interactive`]).
-    pub clearing: Clearing,
-    /// The chain level that produced the clearing.
-    pub chain_level: ChainLevel,
-    /// Whether the interactive phase converged within tolerance.
-    pub converged: bool,
-    /// Whether the watchdog aborted the interactive phase.
-    pub diverged: bool,
-    /// Participants quarantined during the interactive phase, in
-    /// quarantine order.
-    pub quarantined: Vec<Quarantine>,
-    /// Total retry attempts spent across all rounds and agents.
-    pub retries: usize,
-    /// Target watts left uncovered after the final chain level (positive
-    /// only when the target exceeds the system's physical capability).
-    pub residual_watts: f64,
-    /// Price trajectory of the interactive phase, including the initial
-    /// announcement.
-    pub price_trace: Vec<f64>,
-}
-
-impl ResilientOutcome {
-    /// `true` when the clearing had to leave the clean interactive level.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.chain_level > ChainLevel::Interactive
-    }
-
-    /// Ids of the quarantined jobs.
-    #[must_use]
-    pub fn quarantined_ids(&self) -> Vec<JobId> {
-        self.quarantined.iter().map(|q| q.id).collect()
-    }
-}
-
-/// An MPR-INT driver that survives unresponsive, crashing, stale and
-/// byzantine participants.
-///
-/// See the [module docs](self) for the degradation chain. Since the
-/// mechanism unification this type is a thin facade: level 0 is a
-/// [`ResilientInteractiveMechanism`] and the walk down the chain is a
-/// [`FallbackChain`] over the unified
-/// [`Mechanism`](crate::mechanism::Mechanism) interface, terminated by
-/// [`EqlCappingMechanism`](crate::mechanism::EqlCappingMechanism). The
-/// behaviour — retry budgets, quarantine, the convergence watchdog, the
-/// three-level degradation — is unchanged. The happy path is behaviourally
-/// identical to [`InteractiveMarket`]
-/// (`crate::market::interactive::InteractiveMarket`): same damped price
-/// exchange, same convergence rule, one extra watchdog that never fires on
-/// a contracting trajectory.
-pub struct ResilientInteractiveMarket {
-    level0: ResilientInteractiveMechanism,
-}
-
-impl std::fmt::Debug for ResilientInteractiveMarket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientInteractiveMarket")
-            .field("agents", &self.level0.len())
-            .field("config", &self.level0.config())
-            .finish()
-    }
-}
-
-impl ResilientInteractiveMarket {
-    /// Creates an empty resilient market.
-    #[must_use]
-    pub fn new(config: ResilientConfig) -> Self {
-        Self {
-            level0: ResilientInteractiveMechanism::new(config),
-        }
-    }
-
-    /// Creates a resilient market over agents with no registered static
-    /// bids (quarantined jobs then fall back to their last live bid, or to
-    /// forced capping).
-    #[must_use]
-    pub fn from_agents(agents: Vec<Box<dyn BiddingAgent>>, config: ResilientConfig) -> Self {
-        let mut m = Self::new(config);
-        for a in agents {
-            m.register(a, None);
-        }
-        m
-    }
-
-    /// Registers an agent together with its submission-time cooperative
-    /// bid, the preferred price source should the agent default before ever
-    /// bidding live.
-    pub fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
-        self.level0.register(agent, fallback_bid);
-    }
-
-    /// Number of registered agents.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.level0.len()
-    }
-
-    /// `true` when no agents are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.level0.is_empty()
-    }
-
-    /// Clears the market for a power-reduction target, walking the
-    /// degradation chain as far as needed.
-    ///
-    /// Unlike the plain interactive market this never fails on agent
-    /// faults, divergence, or infeasible targets: an unattainable target is
-    /// answered with every job capped at `Δ` and the shortfall reported in
-    /// [`ResilientOutcome::residual_watts`].
-    ///
-    /// # Errors
-    ///
-    /// [`MarketError::NoParticipants`] on an empty market with a positive
-    /// target — the one failure no fallback can absorb.
-    pub fn clear(&mut self, target: Watts) -> Result<ResilientOutcome, MarketError> {
-        let target_watts = target.get();
-        if target_watts <= 0.0 {
-            let clamped = Watts::new(target_watts.max(0.0));
-            return Ok(ResilientOutcome {
-                clearing: Clearing::new(Price::ZERO, clamped, Vec::new(), 0),
-                chain_level: ChainLevel::Interactive,
-                converged: true,
-                diverged: false,
-                quarantined: Vec::new(),
-                retries: 0,
-                residual_watts: 0.0,
-                price_trace: vec![0.0],
-            });
-        }
-        if self.level0.is_empty() {
-            return Err(MarketError::NoParticipants);
-        }
-
-        // The SoA instance is built once per clearing; the chain patches
-        // live bids into it as stages hand over.
-        let instance = self.level0.instance();
-        let mut chain = FallbackChain::new()
-            .stage(ChainLevel::Interactive, &mut self.level0)
-            .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-            .stage(ChainLevel::EqlCapping, EqlCappingMechanism);
-        let cleared = chain.clear(&instance, target).map_err(|e| match e {
-            MechanismError::DegenerateInstance { .. } => MarketError::NoParticipants,
-            MechanismError::Market(m) => m,
-            // The resilient chain never surfaces a bare oscillation error
-            // (level 0 degrades instead), but map it defensively.
-            MechanismError::NonConvergent { rounds, last_price } => {
-                MarketError::Diverged { rounds, last_price }
-            }
-        })?;
-
-        let diagnostics = cleared.diagnostics();
-        let clearing = Clearing::new(
-            cleared.price(),
-            target,
-            cleared.to_allocations(),
-            diagnostics.iterations,
-        );
-        Ok(ResilientOutcome {
-            clearing,
-            chain_level: diagnostics.chain_level.unwrap_or(ChainLevel::Interactive),
-            converged: diagnostics.converged,
-            diverged: diagnostics.diverged,
-            quarantined: diagnostics.quarantined.clone(),
-            retries: diagnostics.retries,
-            residual_watts: cleared.residual().get(),
-            price_trace: diagnostics.price_trace.clone(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bidding::cooperative_bid;
     use crate::cost::QuadraticCost;
     use crate::market::interactive::NetGainAgent;
+    use crate::mechanism::{
+        Clearing, FallbackChain, MarketInstance, Mechanism, MechanismError,
+        ResilientInteractiveMechanism,
+    };
+    use crate::units::{Price, Watts};
 
     const WPU: f64 = 125.0;
 
@@ -590,8 +418,33 @@ mod tests {
         NetGainAgent::new(id, QuadraticCost::new(alpha, 1.0), Watts::new(WPU))
     }
 
-    fn resilient_over(agents: Vec<Box<dyn BiddingAgent>>) -> ResilientInteractiveMarket {
-        ResilientInteractiveMarket::from_agents(agents, ResilientConfig::default())
+    fn resilient_over(agents: Vec<Box<dyn BiddingAgent>>) -> ResilientInteractiveMechanism {
+        let mut m = ResilientInteractiveMechanism::new(ResilientConfig::default());
+        for a in agents {
+            m.register(a, None);
+        }
+        m
+    }
+
+    /// Clears the registered agents through the degradation chain.
+    fn clear(level0: ResilientInteractiveMechanism, target: f64) -> Clearing {
+        let instance = level0.instance();
+        FallbackChain::degradation(level0)
+            .clear(&instance, Watts::new(target))
+            .unwrap()
+    }
+
+    fn level(c: &Clearing) -> ChainLevel {
+        c.diagnostics().chain_level.unwrap()
+    }
+
+    fn quarantined_ids(c: &Clearing) -> Vec<JobId> {
+        c.diagnostics().quarantined.iter().map(|q| q.id).collect()
+    }
+
+    fn reduction_of(c: &Clearing, id: JobId) -> f64 {
+        let row = c.ids().iter().position(|&i| i == id).unwrap();
+        c.reductions()[row]
     }
 
     #[test]
@@ -604,161 +457,6 @@ mod tests {
         assert!(xs.iter().all(|x| (0.0..1.0).contains(x)));
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - 0.5).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn healthy_agents_clear_at_interactive_level() {
-        let agents: Vec<Box<dyn BiddingAgent>> = (0..4)
-            .map(|i| Box::new(rational(i, 1.0 + i as f64)) as _)
-            .collect();
-        let mut m = resilient_over(agents);
-        let out = m.clear(Watts::new(200.0)).unwrap();
-        assert_eq!(out.chain_level, ChainLevel::Interactive);
-        assert!(out.converged && !out.diverged);
-        assert!(out.quarantined.is_empty());
-        assert!(!out.is_degraded());
-        assert_eq!(out.retries, 0);
-        assert!(out.clearing.met_target());
-        assert_eq!(out.clearing.allocations().len(), 4);
-    }
-
-    #[test]
-    fn zero_target_and_empty_market_edge_cases() {
-        let mut m = resilient_over(vec![Box::new(rational(0, 1.0))]);
-        let out = m.clear(Watts::ZERO).unwrap();
-        assert!(out.converged);
-        assert_eq!(out.clearing.price(), Price::ZERO);
-
-        let mut empty = ResilientInteractiveMarket::new(ResilientConfig::default());
-        assert!(empty.is_empty());
-        assert_eq!(empty.len(), 0);
-        assert_eq!(
-            empty.clear(Watts::new(10.0)).unwrap_err(),
-            MarketError::NoParticipants
-        );
-    }
-
-    #[test]
-    fn unresponsive_agents_are_quarantined_with_timeout_errors() {
-        let mut agents: Vec<Box<dyn BiddingAgent>> = (0..6)
-            .map(|i| Box::new(rational(i, 1.0 + i as f64)) as _)
-            .collect();
-        agents.push(Box::new(UnresponsiveAgent::new(rational(6, 1.0), 0)));
-        let mut m = resilient_over(agents);
-        // Target within the survivors' capability.
-        let out = m.clear(Watts::new(300.0)).unwrap();
-        assert_eq!(out.quarantined_ids(), vec![6]);
-        assert!(matches!(
-            out.quarantined[0].error,
-            MarketError::AgentTimeout { job: 6, .. }
-        ));
-        // Two retries were burned before quarantine.
-        assert_eq!(out.retries, 2);
-        assert!(out.clearing.met_target());
-        assert_eq!(out.chain_level, ChainLevel::Interactive);
-        // The quarantined job contributes nothing at the interactive level.
-        let q = out
-            .clearing
-            .allocations()
-            .iter()
-            .find(|a| a.id == 6)
-            .unwrap();
-        assert_eq!(q.reduction, 0.0);
-    }
-
-    #[test]
-    fn crashes_skip_the_retry_budget() {
-        let mut agents: Vec<Box<dyn BiddingAgent>> =
-            vec![Box::new(rational(0, 1.0)), Box::new(rational(1, 2.0))];
-        agents.push(Box::new(CrashAgent::new(rational(2, 1.0), 1)));
-        let mut m = resilient_over(agents);
-        let out = m.clear(Watts::new(150.0)).unwrap();
-        assert_eq!(out.quarantined_ids(), vec![2]);
-        assert!(matches!(
-            out.quarantined[0].error,
-            MarketError::AgentCrashed { job: 2, round: 2 }
-        ));
-        assert_eq!(out.retries, 0, "crashes must not burn retries");
-        assert!(out.clearing.met_target());
-    }
-
-    #[test]
-    fn fallback_recovers_capacity_of_quarantined_jobs() {
-        // Two rational jobs can deliver at most 2 Δ · 125 W = 250 W; the
-        // target of 420 W is only attainable with the two silent jobs'
-        // capacity, priced at their registered cooperative bids.
-        let coop = cooperative_bid(&QuadraticCost::new(1.0, 1.0)).unwrap();
-        let mut m = ResilientInteractiveMarket::new(ResilientConfig::default());
-        m.register(Box::new(rational(0, 1.0)), Some(coop));
-        m.register(Box::new(rational(1, 2.0)), Some(coop));
-        m.register(
-            Box::new(UnresponsiveAgent::new(rational(2, 1.0), 0)),
-            Some(coop),
-        );
-        m.register(
-            Box::new(UnresponsiveAgent::new(rational(3, 1.0), 0)),
-            Some(coop),
-        );
-        let out = m.clear(Watts::new(420.0)).unwrap();
-        assert_eq!(out.quarantined_ids(), vec![2, 3]);
-        assert!(out.is_degraded());
-        assert_eq!(out.chain_level, ChainLevel::StaticFallback);
-        assert!(out.clearing.met_target(), "chain must meet the target");
-        assert_eq!(out.residual_watts, 0.0);
-        // Quarantined jobs now carry nonzero reductions.
-        for id in [2u64, 3] {
-            let a = out
-                .clearing
-                .allocations()
-                .iter()
-                .find(|a| a.id == id)
-                .unwrap();
-            assert!(a.reduction > 0.0, "job {id} must supply in the fallback");
-        }
-    }
-
-    #[test]
-    fn oscillating_byzantine_triggers_watchdog_and_falls_back() {
-        let cfg = ResilientConfig {
-            interactive: InteractiveConfig {
-                max_iterations: 100,
-                ..InteractiveConfig::default()
-            },
-            ..ResilientConfig::default()
-        };
-        let mut m = ResilientInteractiveMarket::new(cfg);
-        m.register(Box::new(rational(0, 1.0)), None);
-        m.register(Box::new(rational(1, 2.0)), None);
-        // A large byzantine participant oscillating 8x over/under swings
-        // the clearing price every round.
-        let big = NetGainAgent::new(2, QuadraticCost::new(0.5, 8.0), Watts::new(WPU));
-        m.register(Box::new(ByzantineAgent::new(big, 8.0, true, 7)), None);
-        let out = m.clear(Watts::new(800.0)).unwrap();
-        assert!(out.diverged, "watchdog must detect the oscillation");
-        assert!(!out.converged);
-        assert!(
-            out.clearing.iterations() < 100,
-            "must abort well before max_iterations, used {}",
-            out.clearing.iterations()
-        );
-        assert!(out.is_degraded());
-        assert!(
-            out.clearing.met_target() || out.residual_watts == 0.0,
-            "fallback must still meet the target"
-        );
-    }
-
-    #[test]
-    fn stale_agent_does_not_prevent_clearing() {
-        let mut agents: Vec<Box<dyn BiddingAgent>> =
-            vec![Box::new(rational(0, 1.0)), Box::new(rational(1, 2.0))];
-        agents.push(Box::new(StaleAgent::new(rational(2, 1.5), 1)));
-        let mut m = resilient_over(agents);
-        let out = m.clear(Watts::new(250.0)).unwrap();
-        // Staleness is silent: nobody is quarantined and the exchange still
-        // settles (the stale bid is just a constant supply).
-        assert!(out.quarantined.is_empty());
-        assert!(out.clearing.met_target());
     }
 
     #[test]
@@ -788,46 +486,6 @@ mod tests {
         let mut id_byz = ByzantineAgent::new(rational(1, 1.0), f64::NAN, false, 3);
         let mut honest2 = rational(1, 1.0);
         assert_eq!(id_byz.respond(0.8).unwrap(), honest2.respond(0.8).unwrap());
-    }
-
-    #[test]
-    fn terminal_eql_capping_meets_barely_attainable_targets() {
-        // Every agent silent with no fallback bids: the static level clears
-        // at the price ceiling (bid 0 → full supply), but a target inside
-        // the last 0.1 % of attainable power can still fall short there —
-        // the EQL level must close it exactly.
-        let mut m = ResilientInteractiveMarket::new(ResilientConfig::default());
-        for i in 0..4u64 {
-            m.register(
-                Box::new(UnresponsiveAgent::new(rational(i, 1.0), 0)),
-                Some(0.3),
-            );
-        }
-        // Attainable: 4 jobs · Δ=1 · 125 W = 500 W. Ask for all of it.
-        let out = m.clear(Watts::new(500.0)).unwrap();
-        assert_eq!(out.quarantined.len(), 4);
-        assert!(out.is_degraded());
-        assert!(
-            out.clearing.total_power_reduction().get() >= 500.0 * (1.0 - 1e-6),
-            "terminal level must deliver the attainable maximum, got {}",
-            out.clearing.total_power_reduction()
-        );
-        assert!(out.residual_watts <= 1e-6);
-    }
-
-    #[test]
-    fn infeasible_target_caps_everything_and_reports_residual() {
-        let mut m = resilient_over(vec![
-            Box::new(rational(0, 1.0)) as Box<dyn BiddingAgent>,
-            Box::new(rational(1, 1.0)),
-        ]);
-        // Attainable 250 W; ask for 1000 W.
-        let out = m.clear(Watts::new(1000.0)).unwrap();
-        assert_eq!(out.chain_level, ChainLevel::EqlCapping);
-        assert!((out.clearing.total_power_reduction().get() - 250.0).abs() < 1e-6);
-        assert!((out.residual_watts - 750.0).abs() < 1e-6);
-        // Forced capping pays nothing.
-        assert_eq!(out.clearing.price(), Price::ZERO);
     }
 
     #[test]
@@ -861,26 +519,201 @@ mod tests {
     }
 
     #[test]
+    fn healthy_agents_clear_at_interactive_level() {
+        let agents: Vec<Box<dyn BiddingAgent>> = (0..4)
+            .map(|i| Box::new(rational(i, 1.0 + i as f64)) as _)
+            .collect();
+        let c = clear(resilient_over(agents), 200.0);
+        let d = c.diagnostics();
+        assert_eq!(level(&c), ChainLevel::Interactive);
+        assert!(d.converged && !d.diverged);
+        assert!(d.quarantined.is_empty());
+        assert_eq!(d.levels_tried, 1);
+        assert_eq!(d.retries, 0);
+        assert!(c.met_target());
+        assert_eq!(c.len(), 4);
+    }
+
+    #[test]
+    fn zero_target_and_empty_market_edge_cases() {
+        let c = clear(resilient_over(vec![Box::new(rational(0, 1.0))]), 0.0);
+        assert!(c.diagnostics().converged);
+        assert_eq!(level(&c), ChainLevel::Interactive);
+        assert_eq!(c.price(), Price::ZERO);
+
+        let empty = ResilientInteractiveMechanism::new(ResilientConfig::default());
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        let instance = MarketInstance::from_specs(std::iter::empty());
+        assert!(matches!(
+            FallbackChain::degradation(empty).clear(&instance, Watts::new(10.0)),
+            Err(MechanismError::DegenerateInstance { .. })
+        ));
+    }
+
+    #[test]
+    fn unresponsive_agents_are_quarantined_with_timeout_errors() {
+        let mut agents: Vec<Box<dyn BiddingAgent>> = (0..6)
+            .map(|i| Box::new(rational(i, 1.0 + i as f64)) as _)
+            .collect();
+        agents.push(Box::new(UnresponsiveAgent::new(rational(6, 1.0), 0)));
+        // Target within the survivors' capability.
+        let c = clear(resilient_over(agents), 300.0);
+        let d = c.diagnostics();
+        assert_eq!(quarantined_ids(&c), vec![6]);
+        assert!(matches!(
+            d.quarantined[0].error,
+            MarketError::AgentTimeout { job: 6, .. }
+        ));
+        // Two retries were burned before quarantine.
+        assert_eq!(d.retries, 2);
+        assert!(c.met_target());
+        assert_eq!(level(&c), ChainLevel::Interactive);
+        // The quarantined job contributes nothing at the interactive level.
+        assert_eq!(reduction_of(&c, 6), 0.0);
+    }
+
+    #[test]
+    fn crashes_skip_the_retry_budget() {
+        let mut agents: Vec<Box<dyn BiddingAgent>> =
+            vec![Box::new(rational(0, 1.0)), Box::new(rational(1, 2.0))];
+        agents.push(Box::new(CrashAgent::new(rational(2, 1.0), 1)));
+        let c = clear(resilient_over(agents), 150.0);
+        assert_eq!(quarantined_ids(&c), vec![2]);
+        assert!(matches!(
+            c.diagnostics().quarantined[0].error,
+            MarketError::AgentCrashed { job: 2, round: 2 }
+        ));
+        assert_eq!(c.diagnostics().retries, 0, "crashes must not burn retries");
+        assert!(c.met_target());
+    }
+
+    #[test]
+    fn fallback_recovers_capacity_of_quarantined_jobs() {
+        // Two rational jobs can deliver at most 2 Δ · 125 W = 250 W; the
+        // target of 420 W is only attainable with the two silent jobs'
+        // capacity, priced at their registered cooperative bids.
+        let coop = cooperative_bid(&QuadraticCost::new(1.0, 1.0)).unwrap();
+        let mut m = ResilientInteractiveMechanism::new(ResilientConfig::default());
+        m.register(Box::new(rational(0, 1.0)), Some(coop));
+        m.register(Box::new(rational(1, 2.0)), Some(coop));
+        m.register(
+            Box::new(UnresponsiveAgent::new(rational(2, 1.0), 0)),
+            Some(coop),
+        );
+        m.register(
+            Box::new(UnresponsiveAgent::new(rational(3, 1.0), 0)),
+            Some(coop),
+        );
+        let c = clear(m, 420.0);
+        assert_eq!(quarantined_ids(&c), vec![2, 3]);
+        assert_eq!(level(&c), ChainLevel::StaticFallback);
+        assert!(c.met_target(), "chain must meet the target");
+        assert_eq!(c.residual(), Watts::ZERO);
+        // Quarantined jobs now carry nonzero reductions.
+        for id in [2u64, 3] {
+            assert!(
+                reduction_of(&c, id) > 0.0,
+                "job {id} must supply in the fallback"
+            );
+        }
+    }
+
+    #[test]
+    fn oscillating_byzantine_triggers_watchdog_and_falls_back() {
+        let cfg = ResilientConfig {
+            interactive: InteractiveConfig {
+                max_iterations: 100,
+                ..InteractiveConfig::default()
+            },
+            ..ResilientConfig::default()
+        };
+        let mut m = ResilientInteractiveMechanism::new(cfg);
+        m.register(Box::new(rational(0, 1.0)), None);
+        m.register(Box::new(rational(1, 2.0)), None);
+        // A large byzantine participant oscillating 8x over/under swings
+        // the clearing price every round.
+        let big = NetGainAgent::new(2, QuadraticCost::new(0.5, 8.0), Watts::new(WPU));
+        m.register(Box::new(ByzantineAgent::new(big, 8.0, true, 7)), None);
+        let c = clear(m, 800.0);
+        let d = c.diagnostics();
+        assert!(d.diverged, "watchdog must detect the oscillation");
+        assert!(!d.converged);
+        assert!(
+            c.iterations() < 100,
+            "must abort well before max_iterations, used {}",
+            c.iterations()
+        );
+        assert!(level(&c) > ChainLevel::Interactive);
+        assert!(c.met_target(), "fallback must still meet the target");
+    }
+
+    #[test]
+    fn stale_agent_does_not_prevent_clearing() {
+        let mut agents: Vec<Box<dyn BiddingAgent>> =
+            vec![Box::new(rational(0, 1.0)), Box::new(rational(1, 2.0))];
+        agents.push(Box::new(StaleAgent::new(rational(2, 1.5), 1)));
+        let c = clear(resilient_over(agents), 250.0);
+        // Staleness is silent: nobody is quarantined and the exchange still
+        // settles (the stale bid is just a constant supply).
+        assert!(c.diagnostics().quarantined.is_empty());
+        assert!(c.met_target());
+    }
+
+    #[test]
+    fn terminal_eql_capping_meets_barely_attainable_targets() {
+        // Every agent silent: the static level clears at the price ceiling,
+        // but a target inside the last 0.1 % of attainable power can still
+        // fall short there — the EQL level must close it exactly.
+        let mut m = ResilientInteractiveMechanism::new(ResilientConfig::default());
+        for i in 0..4u64 {
+            m.register(
+                Box::new(UnresponsiveAgent::new(rational(i, 1.0), 0)),
+                Some(0.3),
+            );
+        }
+        // Attainable: 4 jobs · Δ=1 · 125 W = 500 W. Ask for all of it.
+        let c = clear(m, 500.0);
+        assert_eq!(c.diagnostics().quarantined.len(), 4);
+        assert!(level(&c) > ChainLevel::Interactive);
+        assert!(
+            c.total_power_reduction().get() >= 500.0 * (1.0 - 1e-6),
+            "terminal level must deliver the attainable maximum, got {}",
+            c.total_power_reduction()
+        );
+        assert!(c.residual().get() <= 1e-6);
+    }
+
+    #[test]
+    fn infeasible_target_caps_everything_and_reports_residual() {
+        let m = resilient_over(vec![
+            Box::new(rational(0, 1.0)) as Box<dyn BiddingAgent>,
+            Box::new(rational(1, 1.0)),
+        ]);
+        // Attainable 250 W; ask for 1000 W.
+        let c = clear(m, 1000.0);
+        assert_eq!(level(&c), ChainLevel::EqlCapping);
+        assert!((c.total_power_reduction().get() - 250.0).abs() < 1e-6);
+        assert!((c.residual().get() - 750.0).abs() < 1e-6);
+        // Forced capping pays nothing.
+        assert_eq!(c.price(), Price::ZERO);
+    }
+
+    #[test]
     fn unresponsive_after_some_rounds_uses_last_known_bid_in_fallback() {
         // The agent answers round 1 then goes silent: its round-1 bid is
         // the last-known bid the static fallback prices it at.
         let coop = cooperative_bid(&QuadraticCost::new(1.0, 1.0)).unwrap();
-        let mut m = ResilientInteractiveMarket::new(ResilientConfig::default());
+        let mut m = ResilientInteractiveMechanism::new(ResilientConfig::default());
         m.register(Box::new(rational(0, 1.0)), Some(coop));
         m.register(
             Box::new(UnresponsiveAgent::new(rational(1, 1.0), 1)),
             Some(coop),
         );
         // 240 W needs both jobs (each caps at 125 W).
-        let out = m.clear(Watts::new(240.0)).unwrap();
-        assert_eq!(out.quarantined_ids(), vec![1]);
-        assert!(out.clearing.met_target());
-        let a = out
-            .clearing
-            .allocations()
-            .iter()
-            .find(|a| a.id == 1)
-            .unwrap();
-        assert!(a.reduction > 0.0);
+        let c = clear(m, 240.0);
+        assert_eq!(quarantined_ids(&c), vec![1]);
+        assert!(c.met_target());
+        assert!(reduction_of(&c, 1) > 0.0);
     }
 }

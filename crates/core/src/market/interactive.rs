@@ -1,18 +1,13 @@
-//! MPR-INT: the interactive market (Section III-B).
-//!
-//! The HPC manager declares an initial clearing price; users respond with
-//! bids maximizing their net gain at that price; the manager re-solves MClr
-//! and announces the updated price. The exchange repeats until the price
-//! converges — a Nash equilibrium whose allocation matches the social
-//! optimum OPT (Johari & Tsitsiklis 2011; Section III-D).
+//! The user side of MPR-INT (Section III-B): bidding agents that answer
+//! price announcements, the exchange's tuning knobs, and its oscillation
+//! detector. The exchange itself runs in
+//! [`InteractiveMechanism`](crate::mechanism::InteractiveMechanism) and its
+//! fault-tolerant variants.
 
 use crate::bidding;
 use crate::cost::CostModel;
 use crate::error::MarketError;
-use crate::market::{Allocation, Clearing};
-use crate::mclr;
-use crate::participant::{JobId, Participant};
-use crate::supply::SupplyFunction;
+use crate::participant::JobId;
 use crate::units::{Price, Watts};
 
 /// A user-side software agent that answers price announcements with bids.
@@ -169,198 +164,83 @@ pub fn is_oscillating(trace: &[f64], rel_tolerance: f64, window: usize) -> bool 
     true
 }
 
-/// Outcome of an interactive clearing, bundling the final [`Clearing`] with
-/// convergence diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InteractiveOutcome {
-    /// The final clearing (price, allocations).
-    pub clearing: Clearing,
-    /// Whether the price converged within tolerance (as opposed to the
-    /// iteration cap firing).
-    pub converged: bool,
-    /// Price trajectory over the rounds, including the final price.
-    pub price_trace: Vec<f64>,
-}
-
-/// The interactive MPR market over a set of bidding agents.
-pub struct InteractiveMarket {
-    agents: Vec<Box<dyn BiddingAgent>>,
-    config: InteractiveConfig,
-}
-
-impl std::fmt::Debug for InteractiveMarket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InteractiveMarket")
-            .field("agents", &self.agents.len())
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl InteractiveMarket {
-    /// Creates an interactive market with the given agents and
-    /// configuration.
-    #[must_use]
-    pub fn new(agents: Vec<Box<dyn BiddingAgent>>, config: InteractiveConfig) -> Self {
-        Self { agents, config }
-    }
-
-    /// Number of registered agents.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// `true` when no agents are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.agents.is_empty()
-    }
-
-    /// Runs the iterative price/bid exchange for a power-reduction target.
-    ///
-    /// # Errors
-    ///
-    /// * [`MarketError::NoParticipants`] on an empty market with a positive
-    ///   target.
-    /// * [`MarketError::Infeasible`] when `Σ Δ_m · watts_per_unit` cannot
-    ///   cover the target (feasibility does not depend on the bids).
-    /// * Any error raised by an agent's [`BiddingAgent::respond`].
-    pub fn clear(&mut self, target: Watts) -> Result<InteractiveOutcome, MarketError> {
-        let target_watts = target.get();
-        if target_watts <= 0.0 {
-            let clamped = Watts::new(target_watts.max(0.0));
-            return Ok(InteractiveOutcome {
-                clearing: Clearing::new(Price::ZERO, clamped, Vec::new(), 0),
-                converged: true,
-                price_trace: vec![0.0],
-            });
-        }
-        if self.agents.is_empty() {
-            return Err(MarketError::NoParticipants);
-        }
-        let attainable: f64 = self
-            .agents
-            .iter()
-            .map(|a| a.delta_max() * a.watts_per_unit())
-            .sum();
-        if attainable < target_watts * (1.0 - 1e-9) {
-            return Err(MarketError::Infeasible {
-                target_watts,
-                attainable_watts: attainable,
-            });
-        }
-
-        let mut price = self.config.initial_price.max(1e-9);
-        let mut trace = vec![price];
-        let mut converged = false;
-        let mut participants: Vec<Participant> = Vec::with_capacity(self.agents.len());
-        let mut iterations = 0;
-
-        for _ in 0..self.config.max_iterations {
-            iterations += 1;
-            participants.clear();
-            for agent in &mut self.agents {
-                let bid = agent.respond(price)?;
-                if !bid.is_finite() {
-                    // A NaN would otherwise slip through `max(0.0)` as a
-                    // zero bid — maximal supply for a garbage response.
-                    return Err(MarketError::InvalidParameter {
-                        name: "bid",
-                        value: bid,
-                        constraint: "agent returned a non-finite bid",
-                    });
-                }
-                participants.push(Participant::new(
-                    agent.job_id(),
-                    SupplyFunction::new(agent.delta_max(), bid.max(0.0))?,
-                    Watts::new(agent.watts_per_unit()),
-                ));
-            }
-            let sol = mclr::clear_best_effort(&participants, target);
-            let next = (1.0 - self.config.damping) * price + self.config.damping * sol.price.get();
-            let rel_change = (next - price).abs() / price.abs().max(1e-9);
-            price = next;
-            trace.push(price);
-            if rel_change <= self.config.tolerance {
-                converged = true;
-                break;
-            }
-        }
-
-        // Final clearing with the last bids: one more MClr solve guarantees
-        // the damped/announced price is replaced by one that actually meets
-        // the target with these supplies.
-        let final_sol = mclr::clear_best_effort(&participants, target);
-        let clearing_price = final_sol.price;
-        let allocations: Vec<Allocation> = participants
-            .iter()
-            .map(|p| {
-                let reduction = p.supply.supply(clearing_price);
-                Allocation {
-                    id: p.id,
-                    reduction,
-                    power_reduction: reduction * p.watts_per_unit,
-                    price: clearing_price.get(),
-                }
-            })
-            .collect();
-        Ok(InteractiveOutcome {
-            clearing: Clearing::new(clearing_price, target, allocations, iterations),
-            converged,
-            price_trace: trace,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The synchronous exchange driven through
+    //! [`InteractiveMechanism`](crate::mechanism::InteractiveMechanism),
+    //! whose rational agents are this module's [`NetGainAgent`]s.
+
+    use std::sync::Arc;
+
     use super::*;
     use crate::cost::{PowerLawCost, QuadraticCost};
+    use crate::mechanism::{
+        Clearing, InteractiveMechanism, MarketInstance, Mechanism, MechanismError, ParticipantSpec,
+        ResilientInteractiveMechanism,
+    };
     use crate::opt;
 
-    fn quad_agents(alphas: &[f64]) -> Vec<Box<dyn BiddingAgent>> {
-        alphas
-            .iter()
+    fn instance_of(costs: Vec<Arc<dyn CostModel>>) -> MarketInstance {
+        costs
+            .into_iter()
             .enumerate()
-            .map(|(i, &a)| {
-                Box::new(NetGainAgent::new(
-                    i as u64,
-                    QuadraticCost::new(a, 1.0),
-                    Watts::new(125.0),
-                )) as Box<dyn BiddingAgent>
+            .map(|(i, c)| {
+                ParticipantSpec::new(i as u64, c.delta_max(), Watts::new(125.0)).with_cost(c)
             })
             .collect()
     }
 
+    fn quad_instance(alphas: &[f64]) -> MarketInstance {
+        instance_of(
+            alphas
+                .iter()
+                .map(|&a| Arc::new(QuadraticCost::new(a, 1.0)) as Arc<dyn CostModel>)
+                .collect(),
+        )
+    }
+
+    fn clear(
+        instance: &MarketInstance,
+        config: InteractiveConfig,
+        target: f64,
+    ) -> Result<Clearing, MechanismError> {
+        InteractiveMechanism::strict(config).clear(instance, Watts::new(target))
+    }
+
     #[test]
     fn converges_on_quadratic_costs() {
-        let mut m =
-            InteractiveMarket::new(quad_agents(&[1.0, 2.0, 4.0]), InteractiveConfig::default());
-        let out = m.clear(Watts::new(150.0)).unwrap();
-        assert!(out.converged, "price trace: {:?}", out.price_trace);
-        assert!(out.clearing.met_target());
+        let c = clear(
+            &quad_instance(&[1.0, 2.0, 4.0]),
+            InteractiveConfig::default(),
+            150.0,
+        )
+        .unwrap();
+        assert!(
+            c.diagnostics().converged,
+            "price trace: {:?}",
+            c.diagnostics().price_trace
+        );
+        assert!(c.met_target());
         // More sensitive (higher α) jobs reduce less.
-        let a = out.clearing.allocations();
-        assert!(a[0].reduction > a[1].reduction);
-        assert!(a[1].reduction > a[2].reduction);
+        let r = c.reductions();
+        assert!(r[0] > r[1]);
+        assert!(r[1] > r[2]);
     }
 
     #[test]
     fn equilibrium_matches_opt_for_convex_costs() {
-        // At the Nash equilibrium the interactive market's total cost should
-        // be close to OPT's (the paper's headline property).
+        // At the Nash equilibrium the interactive market's total cost
+        // should be close to OPT's (the paper's headline property).
         let costs: Vec<QuadraticCost> = [1.0, 2.0, 4.0, 8.0]
             .iter()
             .map(|&a| QuadraticCost::new(a, 1.0))
             .collect();
-        let agents: Vec<Box<dyn BiddingAgent>> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Box::new(NetGainAgent::new(i as u64, *c, Watts::new(125.0))) as _)
-            .collect();
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let out = m.clear(Watts::new(250.0)).unwrap();
+        let c = clear(
+            &quad_instance(&[1.0, 2.0, 4.0, 8.0]),
+            InteractiveConfig::default(),
+            250.0,
+        )
+        .unwrap();
 
         let jobs: Vec<opt::OptJob<'_>> = costs
             .iter()
@@ -369,15 +249,11 @@ mod tests {
             .collect();
         let optimal = opt::solve(&jobs, Watts::new(250.0), opt::OptMethod::Auto).unwrap();
 
-        let int_cost: f64 = out
-            .clearing
-            .allocations()
+        let int_cost: f64 = c
+            .reductions()
             .iter()
             .zip(&costs)
-            .map(|(a, c)| {
-                use crate::cost::CostModel;
-                c.cost(a.reduction)
-            })
+            .map(|(r, cost)| cost.cost(*r))
             .sum();
         assert!(
             int_cost <= optimal.total_cost * 1.10 + 1e-9,
@@ -388,45 +264,50 @@ mod tests {
 
     #[test]
     fn zero_target_clears_immediately() {
-        let mut m = InteractiveMarket::new(quad_agents(&[1.0]), InteractiveConfig::default());
-        let out = m.clear(Watts::ZERO).unwrap();
-        assert!(out.converged);
-        assert_eq!(out.clearing.price(), Price::ZERO);
+        let c = clear(&quad_instance(&[1.0]), InteractiveConfig::default(), 0.0).unwrap();
+        assert!(c.diagnostics().converged);
+        assert_eq!(c.iterations(), 0);
+        assert_eq!(c.price(), Price::ZERO);
     }
 
     #[test]
     fn empty_market_errs() {
-        let mut m = InteractiveMarket::new(Vec::new(), InteractiveConfig::default());
+        let empty = MarketInstance::from_specs(std::iter::empty());
+        assert!(matches!(
+            clear(&empty, InteractiveConfig::default(), 10.0),
+            Err(MechanismError::DegenerateInstance { .. })
+        ));
+        // Rows without a cost curve cannot bid.
+        let costless: MarketInstance = (0..2)
+            .map(|id| ParticipantSpec::new(id, 1.0, Watts::new(125.0)))
+            .collect();
         assert_eq!(
-            m.clear(Watts::new(10.0)).unwrap_err(),
-            MarketError::NoParticipants
+            clear(&costless, InteractiveConfig::default(), 10.0).unwrap_err(),
+            MechanismError::Market(MarketError::NoParticipants)
         );
-        assert!(m.is_empty());
-        assert_eq!(m.len(), 0);
     }
 
     #[test]
     fn infeasible_target_errs() {
-        let mut m = InteractiveMarket::new(quad_agents(&[1.0]), InteractiveConfig::default());
         // One job, Δ = 1, 125 W/unit → attainable 125 W.
-        let err = m.clear(Watts::new(1000.0)).unwrap_err();
-        assert!(matches!(err, MarketError::Infeasible { .. }));
+        let err = clear(&quad_instance(&[1.0]), InteractiveConfig::default(), 1000.0).unwrap_err();
+        assert!(matches!(
+            err,
+            MechanismError::Market(MarketError::Infeasible { .. })
+        ));
     }
 
     #[test]
     fn iteration_cap_returns_last_price() {
-        let mut m = InteractiveMarket::new(
-            quad_agents(&[1.0, 3.0]),
-            InteractiveConfig {
-                max_iterations: 2,
-                tolerance: 0.0, // never converges by tolerance
-                ..InteractiveConfig::default()
-            },
-        );
-        let out = m.clear(Watts::new(100.0)).unwrap();
-        assert!(!out.converged);
-        assert_eq!(out.clearing.iterations(), 2);
-        assert!(out.clearing.price() > Price::ZERO);
+        let config = InteractiveConfig {
+            max_iterations: 2,
+            tolerance: 0.0, // never converges by tolerance
+            ..InteractiveConfig::default()
+        };
+        let c = clear(&quad_instance(&[1.0, 3.0]), config, 100.0).unwrap();
+        assert!(!c.diagnostics().converged);
+        assert_eq!(c.iterations(), 2);
+        assert!(c.price() > Price::ZERO);
     }
 
     #[test]
@@ -452,16 +333,13 @@ mod tests {
 
     #[test]
     fn damping_still_converges() {
-        let mut m = InteractiveMarket::new(
-            quad_agents(&[1.0, 2.0, 4.0]),
-            InteractiveConfig {
-                damping: 0.5,
-                ..InteractiveConfig::default()
-            },
-        );
-        let out = m.clear(Watts::new(150.0)).unwrap();
-        assert!(out.converged);
-        assert!(out.clearing.met_target());
+        let config = InteractiveConfig {
+            damping: 0.5,
+            ..InteractiveConfig::default()
+        };
+        let c = clear(&quad_instance(&[1.0, 2.0, 4.0]), config, 150.0).unwrap();
+        assert!(c.diagnostics().converged);
+        assert!(c.met_target());
     }
 
     #[test]
@@ -470,11 +348,15 @@ mod tests {
         let mut iters = Vec::new();
         for n in [10usize, 100, 1000] {
             let alphas: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-            let mut m = InteractiveMarket::new(quad_agents(&alphas), InteractiveConfig::default());
             let attainable = 125.0 * n as f64;
-            let out = m.clear(Watts::new(0.3 * attainable)).unwrap();
-            assert!(out.converged);
-            iters.push(out.clearing.iterations());
+            let c = clear(
+                &quad_instance(&alphas),
+                InteractiveConfig::default(),
+                0.3 * attainable,
+            )
+            .unwrap();
+            assert!(c.diagnostics().converged);
+            iters.push(c.iterations());
         }
         let max = *iters.iter().max().unwrap();
         let min = *iters.iter().min().unwrap();
@@ -484,49 +366,38 @@ mod tests {
         );
     }
 
-    /// An agent whose communication fails after a few rounds.
-    struct FlakyAgent {
-        inner: NetGainAgent<QuadraticCost>,
-        rounds_before_failure: usize,
-        round: usize,
-    }
+    /// A cost curve without a usable maximum reduction: every best
+    /// response fails, as an agent losing its session would.
+    struct UnboundedCost;
 
-    impl BiddingAgent for FlakyAgent {
-        fn job_id(&self) -> u64 {
-            self.inner.job_id()
-        }
-        fn watts_per_unit(&self) -> f64 {
-            self.inner.watts_per_unit()
+    impl CostModel for UnboundedCost {
+        fn cost(&self, delta: f64) -> f64 {
+            delta
         }
         fn delta_max(&self) -> f64 {
-            self.inner.delta_max()
-        }
-        fn respond(&mut self, price: f64) -> Result<f64, MarketError> {
-            self.round += 1;
-            if self.round > self.rounds_before_failure {
-                return Err(MarketError::Numeric("agent lost connectivity"));
-            }
-            self.inner.respond(price)
+            f64::INFINITY
         }
     }
 
     #[test]
     fn agent_failure_aborts_the_round_with_an_error() {
-        let mut agents = quad_agents(&[1.0, 2.0]);
-        agents.push(Box::new(FlakyAgent {
-            inner: NetGainAgent::new(99, QuadraticCost::new(3.0, 1.0), Watts::new(125.0)),
-            rounds_before_failure: 2,
-            round: 0,
-        }));
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let err = m.clear(Watts::new(200.0)).unwrap_err();
-        assert_eq!(err, MarketError::Numeric("agent lost connectivity"));
+        let inst = instance_of(vec![
+            Arc::new(QuadraticCost::new(1.0, 1.0)),
+            Arc::new(QuadraticCost::new(2.0, 1.0)),
+            Arc::new(UnboundedCost),
+        ]);
+        assert!(matches!(
+            clear(&inst, InteractiveConfig::default(), 200.0),
+            Err(MechanismError::Market(MarketError::InvalidParameter {
+                name: "delta_max",
+                ..
+            }))
+        ));
     }
 
-    /// A hostile agent that bids NaN/∞-adjacent garbage must not poison
-    /// the clearing: with_bid clamps negatives, and SupplyFunction::new
-    /// rejects non-finite bids.
+    /// A hostile agent that bids NaN every round.
     struct GarbageAgent;
+
     impl BiddingAgent for GarbageAgent {
         fn job_id(&self) -> u64 {
             7
@@ -542,28 +413,45 @@ mod tests {
         }
     }
 
+    /// Agents only answer arbitrary bids through the fault-tolerant
+    /// exchange: a non-finite bid quarantines its agent instead of
+    /// entering the clearing as a zero bid.
     #[test]
     fn non_finite_bids_are_rejected_not_propagated() {
-        let mut agents = quad_agents(&[1.0]);
-        agents.push(Box::new(GarbageAgent));
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let err = m.clear(Watts::new(150.0)).unwrap_err();
-        assert!(matches!(err, MarketError::InvalidParameter { .. }));
+        let mut exchange = ResilientInteractiveMechanism::new(crate::ResilientConfig::default());
+        exchange.register(
+            Box::new(NetGainAgent::new(
+                0,
+                QuadraticCost::new(1.0, 1.0),
+                Watts::new(125.0),
+            )),
+            None,
+        );
+        exchange.register(Box::new(GarbageAgent), None);
+        let inst = exchange.instance();
+        let c = exchange.clear(&inst, Watts::new(100.0)).unwrap();
+        let q = &c.diagnostics().quarantined;
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].id, 7);
+        assert!(matches!(
+            q[0].error,
+            MarketError::InvalidParameter { name: "bid", .. }
+        ));
+        assert!(c.reductions().iter().all(|r| r.is_finite()));
+        assert_eq!(c.reductions()[1], 0.0);
     }
 
     #[test]
     fn power_law_costs_converge() {
-        let agents: Vec<Box<dyn BiddingAgent>> = (0..5)
-            .map(|i| {
-                Box::new(NetGainAgent::new(
-                    i as u64,
-                    PowerLawCost::new(1.0 + i as f64, 2.2, 0.7),
-                    Watts::new(125.0),
-                )) as _
-            })
-            .collect();
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let out = m.clear(Watts::new(200.0)).unwrap();
-        assert!(out.clearing.met_target());
+        let inst = instance_of(
+            (0..5)
+                .map(|i| {
+                    Arc::new(PowerLawCost::new(1.0 + f64::from(i), 2.2, 0.7)) as Arc<dyn CostModel>
+                })
+                .collect(),
+        );
+        assert!(clear(&inst, InteractiveConfig::default(), 200.0)
+            .unwrap()
+            .met_target());
     }
 }

@@ -48,8 +48,8 @@ impl PaymentLog {
     /// amount entered the total) and `false` for a suppressed duplicate.
     ///
     /// A duplicate whose amount differs from the first application is
-    /// counted separately in [`conflicting_duplicates`]
-    /// (PaymentLog::conflicting_duplicates) — replay recomputing a
+    /// counted separately in
+    /// [`conflicting_duplicates`](PaymentLog::conflicting_duplicates) — replay recomputing a
     /// *different* amount for a journaled payment is a divergence signal,
     /// not a benign retransmit.
     pub fn apply(&mut self, key: PaymentKey, amount: CoreHours) -> bool {

@@ -15,7 +15,8 @@
 
 use crate::market::faults::ChainLevel;
 use crate::mechanism::{
-    Clearing, Diagnostics, InstanceView, MarketInstance, Mechanism, MechanismError,
+    Clearing, Diagnostics, EqlCappingMechanism, InstanceView, MarketInstance, MclrMechanism,
+    Mechanism, MechanismError,
 };
 use crate::units::Watts;
 
@@ -26,9 +27,8 @@ pub struct FallbackChain<'a> {
 
 impl std::fmt::Debug for FallbackChain<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.stages.iter().map(|(_, m)| m.name()).collect();
         f.debug_struct("FallbackChain")
-            .field("stages", &names)
+            .field("stages", &self.stage_names())
             .finish()
     }
 }
@@ -40,11 +40,30 @@ impl<'a> FallbackChain<'a> {
         Self { stages: Vec::new() }
     }
 
+    /// The MPR-INT → MPR-STAT → EQL-capping ladder of Section III-E over a
+    /// level-0 interactive exchange: `level0` at
+    /// [`ChainLevel::Interactive`], then one best-effort static MClr solve
+    /// over the freshest observed bids, then uniform forced capping, which
+    /// meets any physically attainable target.
+    #[must_use]
+    pub fn degradation(level0: impl Mechanism + 'a) -> Self {
+        Self::new()
+            .stage(ChainLevel::Interactive, level0)
+            .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
+            .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+    }
+
     /// Appends a stage at the given degradation level.
     #[must_use]
     pub fn stage(mut self, level: ChainLevel, mechanism: impl Mechanism + 'a) -> Self {
         self.stages.push((level, Box::new(mechanism)));
         self
+    }
+
+    /// The stages' mechanism names, in trial order.
+    #[must_use]
+    pub fn stage_names(&self) -> Vec<&'static str> {
+        self.stages.iter().map(|(_, m)| m.name()).collect()
     }
 
     /// Number of stages in the chain.
@@ -162,9 +181,7 @@ mod tests {
     use crate::cost::QuadraticCost;
     use crate::market::faults::ResilientConfig;
     use crate::market::interactive::NetGainAgent;
-    use crate::mechanism::{
-        EqlCappingMechanism, MclrMechanism, ParticipantSpec, ResilientInteractiveMechanism,
-    };
+    use crate::mechanism::{ParticipantSpec, ResilientInteractiveMechanism};
     use crate::units::Price;
 
     fn cooperative_instance() -> MarketInstance {
@@ -220,10 +237,8 @@ mod tests {
             );
         }
         let inst = level0.instance();
-        let mut chain = FallbackChain::new()
-            .stage(ChainLevel::Interactive, level0)
-            .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-            .stage(ChainLevel::EqlCapping, EqlCappingMechanism);
+        let mut chain = FallbackChain::degradation(level0);
+        assert_eq!(chain.len(), 3);
         let c = chain.clear(&inst, Watts::new(300.0)).unwrap();
         assert!(c.met_target());
         assert_eq!(c.diagnostics().chain_level, Some(ChainLevel::Interactive));

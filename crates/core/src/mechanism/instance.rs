@@ -112,8 +112,8 @@ impl From<&Participant> for ParticipantSpec {
 /// mechanism (see the module docs).
 ///
 /// Rows keep their build order; the index of a row is the participant's
-/// position in every per-participant slice of a [`Clearing`]
-/// (`crate::mechanism::Clearing`).
+/// position in every per-participant slice of a
+/// [`Clearing`](crate::mechanism::Clearing).
 #[derive(Clone)]
 pub struct MarketInstance {
     ids: Vec<JobId>,

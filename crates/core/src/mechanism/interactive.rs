@@ -1,18 +1,25 @@
-//! MPR-INT on the unified [`Mechanism`] interface.
+//! MPR-INT on the unified [`Mechanism`] interface (Section III-B).
+//!
+//! The HPC manager declares an initial clearing price; users respond with
+//! bids maximizing their net gain at that price; the manager re-solves MClr
+//! and announces the updated price. The exchange repeats until the price
+//! converges — a Nash equilibrium whose allocation matches the social
+//! optimum OPT (Johari & Tsitsiklis 2011; Section III-D).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::cost::CostModel;
 use crate::error::MarketError;
-use crate::market::interactive::{
-    is_oscillating, BiddingAgent, InteractiveConfig, InteractiveMarket, NetGainAgent,
-};
+use crate::market::interactive::{is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent};
+use crate::mclr;
 use crate::mechanism::{Clearing, Diagnostics, InstanceView, Mechanism, MechanismError};
+use crate::participant::Participant;
+use crate::supply::SupplyFunction;
 use crate::units::{Price, Watts};
 
-/// The interactive market (Section III-B): rational [`NetGainAgent`]s are
-/// spun up from the instance's cost models and the iterative price/bid
-/// exchange runs to convergence.
+/// The interactive market: rational [`NetGainAgent`]s are spun up from the
+/// instance's cost models and the iterative price/bid exchange runs to
+/// convergence.
 ///
 /// Rows without a cost model cannot bid and sit the clearing out.
 ///
@@ -52,15 +59,15 @@ impl InteractiveMechanism {
         self.config
     }
 
-    fn agents(view: &InstanceView<'_>) -> Vec<Box<dyn BiddingAgent>> {
+    /// One rational agent per cost-bearing row, keyed by its view row.
+    fn agents(view: &InstanceView<'_>) -> Vec<(usize, NetGainAgent<Arc<dyn CostModel>>)> {
         view.ids()
             .iter()
             .zip(view.costs())
             .zip(view.watts_per_unit_slice())
-            .filter_map(|((id, cost), wpu)| {
-                let cost = cost.clone()?;
-                Some(Box::new(NetGainAgent::new(*id, cost, Watts::new(*wpu)))
-                    as Box<dyn BiddingAgent>)
+            .enumerate()
+            .filter_map(|(row, ((id, cost), wpu))| {
+                Some((row, NetGainAgent::new(*id, cost.clone()?, Watts::new(*wpu))))
             })
             .collect()
     }
@@ -113,67 +120,111 @@ impl Mechanism for InteractiveMechanism {
         target: Watts,
     ) -> Result<Clearing, MechanismError> {
         view.ensure_clearable()?;
-        let agents = Self::agents(view);
+        let mut agents = Self::agents(view);
         if agents.is_empty() {
             return Err(MechanismError::Market(MarketError::NoParticipants));
         }
-        let mut market = InteractiveMarket::new(agents, self.config);
-        match market.clear(target) {
-            Ok(outcome) => {
-                // The round-cap safeguard takes the last announced price —
-                // sound when the trajectory stalled short of tolerance, but
-                // a bogus clearing when it is *cycling*. Surface the cycle
-                // as a typed error so a FallbackChain degrades to a static
-                // mechanism instead of shipping an arbitrary cycle point.
-                if !outcome.converged
-                    && is_oscillating(
-                        &outcome.price_trace,
-                        self.config.tolerance,
-                        self.config.oscillation_window,
-                    )
-                {
-                    return Err(MechanismError::NonConvergent {
-                        rounds: outcome.clearing.iterations(),
-                        last_price: outcome.clearing.price().get(),
-                    });
-                }
-                let by_id: BTreeMap<u64, f64> = outcome
-                    .clearing
-                    .allocations()
-                    .iter()
-                    .map(|a| (a.id, a.reduction))
-                    .collect();
-                let reductions: Vec<f64> = view
-                    .ids()
-                    .iter()
-                    .map(|id| by_id.get(id).copied().unwrap_or(0.0))
-                    .collect();
-                let diagnostics = Diagnostics {
-                    iterations: outcome.clearing.iterations(),
-                    converged: outcome.converged,
-                    accepted: outcome.converged,
-                    price_trace: outcome.price_trace,
-                    ..Diagnostics::default()
-                };
-                Ok(Clearing::build(
-                    view,
-                    target,
-                    outcome.clearing.price(),
-                    reductions,
-                    None,
-                    None,
-                    diagnostics,
-                ))
-            }
-            Err(e @ MarketError::Infeasible { .. }) => {
-                if self.strict {
-                    Err(MechanismError::Market(e))
-                } else {
-                    Ok(Self::capped(view, target))
-                }
-            }
-            Err(e) => Err(MechanismError::Market(e)),
+        let target_watts = target.get();
+        if target_watts <= 0.0 {
+            let diagnostics = Diagnostics {
+                iterations: 0,
+                price_trace: vec![0.0],
+                ..Diagnostics::default()
+            };
+            return Ok(Clearing::build(
+                view,
+                target,
+                Price::ZERO,
+                Vec::new(),
+                None,
+                None,
+                diagnostics,
+            ));
         }
+        // Feasibility does not depend on the bids.
+        let attainable: f64 = agents
+            .iter()
+            .map(|(_, a)| a.delta_max() * a.watts_per_unit())
+            .sum();
+        if attainable < target_watts * (1.0 - 1e-9) {
+            let infeasible = MarketError::Infeasible {
+                target_watts,
+                attainable_watts: attainable,
+            };
+            return if self.strict {
+                Err(MechanismError::Market(infeasible))
+            } else {
+                Ok(Self::capped(view, target))
+            };
+        }
+
+        let cfg = self.config;
+        let mut price = cfg.initial_price.max(1e-9);
+        let mut trace = vec![price];
+        let mut converged = false;
+        let mut participants: Vec<Participant> = Vec::with_capacity(agents.len());
+        let mut iterations = 0;
+        for _ in 0..cfg.max_iterations {
+            iterations += 1;
+            participants.clear();
+            for (_, agent) in &mut agents {
+                // A rational agent's best response is finite by
+                // construction.
+                let bid = agent.respond(price)?;
+                participants.push(Participant::new(
+                    agent.job_id(),
+                    SupplyFunction::new(agent.delta_max(), bid.max(0.0))?,
+                    Watts::new(agent.watts_per_unit()),
+                ));
+            }
+            let sol = mclr::clear_best_effort(&participants, target);
+            let next = (1.0 - cfg.damping) * price + cfg.damping * sol.price.get();
+            let rel_change = (next - price).abs() / price.abs().max(1e-9);
+            price = next;
+            trace.push(price);
+            if rel_change <= cfg.tolerance {
+                converged = true;
+                break;
+            }
+        }
+
+        // Final clearing with the last bids: one more MClr solve replaces
+        // the damped/announced price by one that actually meets the target
+        // with these supplies.
+        let clearing_price = mclr::clear_best_effort(&participants, target).price;
+        // The round-cap safeguard takes the last price — sound when the
+        // trajectory stalled short of tolerance, but a bogus clearing when
+        // it is *cycling*. Surface the cycle as a typed error so a
+        // FallbackChain degrades to a static mechanism instead of shipping
+        // an arbitrary cycle point.
+        if !converged && is_oscillating(&trace, cfg.tolerance, cfg.oscillation_window) {
+            return Err(MechanismError::NonConvergent {
+                rounds: iterations,
+                last_price: clearing_price.get(),
+            });
+        }
+        let mut reductions = vec![0.0; view.len()];
+        for ((row, _), p) in agents.iter().zip(&participants) {
+            if let Some(r) = reductions.get_mut(*row) {
+                *r = p.supply.supply(clearing_price);
+            }
+        }
+        let diagnostics = Diagnostics {
+            iterations,
+            converged,
+            accepted: converged,
+            price_trace: trace,
+            ..Diagnostics::default()
+        };
+        Ok(Clearing::build(
+            view,
+            target,
+            clearing_price,
+            reductions,
+            None,
+            None,
+            diagnostics,
+        ))
     }
 }
 

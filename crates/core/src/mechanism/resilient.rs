@@ -1,8 +1,9 @@
 //! The fault-tolerant interactive exchange as a chain-composable
 //! [`Mechanism`].
 //!
-//! This is level 0 of the degradation chain behind
-//! [`crate::ResilientInteractiveMarket`]: the damped MPR-INT price/bid
+//! This is level 0 of the degradation chain built by
+//! [`FallbackChain::degradation`](crate::mechanism::FallbackChain::degradation):
+//! the damped MPR-INT price/bid
 //! exchange hardened with a per-round retry budget, quarantine, and the
 //! convergence watchdog (PR-1 semantics, ported verbatim). It never turns
 //! agent faults into errors — a failed exchange is returned as an

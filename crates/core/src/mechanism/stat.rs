@@ -125,20 +125,37 @@ mod tests {
 
     #[test]
     fn matches_static_market_clearing() {
-        use crate::market::static_market::StaticMarket;
         let inst = instance(&[0.2, 0.5, 0.1]);
         let mut mech = MclrMechanism::strict();
         let c = mech.clear(&inst, Watts::new(200.0)).unwrap();
 
-        let legacy = StaticMarket::new(MclrMechanism::participants(&inst.view()))
-            .clear(Watts::new(200.0))
-            .unwrap();
-        assert!((c.price().get() - legacy.price().get()).abs() < 1e-9);
-        for (mine, theirs) in c.reductions().iter().zip(legacy.allocations()) {
-            assert!((mine - theirs.reduction).abs() < 1e-9);
+        let participants = MclrMechanism::participants(&inst.view());
+        let sol = mclr::solve(&participants, Watts::new(200.0)).unwrap();
+        assert_eq!(c.price(), sol.price);
+        for (mine, p) in c.reductions().iter().zip(&participants) {
+            assert_eq!(*mine, p.supply.supply(sol.price));
         }
         assert!(c.met_target());
         assert_eq!(c.residual(), Watts::ZERO);
+        assert_eq!(c.iterations(), 1);
+    }
+
+    #[test]
+    fn lower_bids_reduce_more() {
+        let c = MclrMechanism::strict()
+            .clear(&instance(&[0.1, 0.4]), Watts::new(100.0))
+            .unwrap();
+        assert!(c.reductions()[0] > c.reductions()[1]);
+    }
+
+    #[test]
+    fn zero_target_is_free() {
+        let c = MclrMechanism::strict()
+            .clear(&instance(&[0.2]), Watts::ZERO)
+            .unwrap();
+        assert_eq!(c.price(), crate::units::Price::ZERO);
+        assert_eq!(c.total_reduction(), 0.0);
+        assert!(c.met_target());
     }
 
     #[test]
@@ -186,5 +203,29 @@ mod tests {
         assert_eq!(c.reductions()[0], 0.0);
         assert!(c.reductions()[1] > 0.0);
         assert!(c.met_target());
+    }
+
+    proptest::proptest! {
+        /// Every reduction respects its row's Δ and the payment is the
+        /// price times the reduction.
+        #[test]
+        fn reductions_respect_delta_max(
+            jobs in proptest::collection::vec((0.1f64..3.0, 0.0f64..1.0), 1..30),
+            frac in 0.1f64..0.9,
+        ) {
+            let inst: MarketInstance = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, (d, b))| ParticipantSpec::new(i as u64, *d, Watts::new(125.0)).with_bid(*b))
+                .collect();
+            let c = MclrMechanism::strict()
+                .clear(&inst, inst.attainable_watts() * frac)
+                .unwrap();
+            for (i, (r, d)) in c.reductions().iter().zip(inst.deltas()).enumerate() {
+                proptest::prop_assert!(*r >= 0.0);
+                proptest::prop_assert!(*r <= d + 1e-9);
+                proptest::prop_assert!((c.payment(i).get() - c.price().get() * r).abs() < 1e-9);
+            }
+        }
     }
 }

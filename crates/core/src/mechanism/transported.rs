@@ -14,7 +14,7 @@
 //! quarantined exactly like a defaulting agent in the PR-1 resilient
 //! exchange. Over a [`PerfectTransport`](crate::market::transport::PerfectTransport)
 //! the exchange is bit-for-bit identical to the synchronous
-//! [`InteractiveMarket`](crate::market::interactive::InteractiveMarket).
+//! [`InteractiveMechanism`](crate::mechanism::InteractiveMechanism).
 //!
 //! Like [`ResilientInteractiveMechanism`](crate::mechanism::ResilientInteractiveMechanism),
 //! this is a chain level 0: transport faults never become errors — a failed
@@ -514,6 +514,8 @@ mod tests {
     use crate::cost::QuadraticCost;
     use crate::market::interactive::{InteractiveConfig, NetGainAgent};
     use crate::market::transport::{NetFaultConfig, PerfectTransport, SimNet, TransportStats};
+    use crate::mechanism::{InteractiveMechanism, ParticipantSpec};
+    use std::sync::Arc;
 
     fn rational(id: u64, alpha: f64) -> NetGainAgent<QuadraticCost> {
         NetGainAgent::new(id, QuadraticCost::new(alpha, 1.0), Watts::new(125.0))
@@ -537,20 +539,29 @@ mod tests {
         let inst = net.instance();
         let c_net = net.clear(&inst, Watts::new(150.0)).unwrap();
 
-        let mut sync = crate::market::interactive::InteractiveMarket::new(
-            (0..3)
-                .map(|i| Box::new(rational(i as u64, [1.0, 2.0, 4.0][i])) as Box<dyn BiddingAgent>)
-                .collect(),
-            InteractiveConfig::default(),
-        );
-        let out = sync.clear(Watts::new(150.0)).unwrap();
+        let sync_instance: MarketInstance = [1.0, 2.0, 4.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                ParticipantSpec::new(i as u64, 1.0, Watts::new(125.0))
+                    .with_cost(Arc::new(QuadraticCost::new(a, 1.0)))
+            })
+            .collect();
+        let c_sync = InteractiveMechanism::strict(InteractiveConfig::default())
+            .clear(&sync_instance, Watts::new(150.0))
+            .unwrap();
 
-        assert_eq!(c_net.price(), out.clearing.price());
-        assert_eq!(c_net.iterations(), out.clearing.iterations());
-        assert_eq!(c_net.diagnostics().price_trace, out.price_trace);
-        for (row, alloc) in c_net.reductions().iter().zip(out.clearing.allocations()) {
-            assert_eq!(*row, alloc.reduction, "reductions must be identical");
-        }
+        assert_eq!(c_net.price(), c_sync.price());
+        assert_eq!(c_net.iterations(), c_sync.iterations());
+        assert_eq!(
+            c_net.diagnostics().price_trace,
+            c_sync.diagnostics().price_trace
+        );
+        assert_eq!(
+            c_net.reductions(),
+            c_sync.reductions(),
+            "reductions must be identical"
+        );
         let t = c_net.diagnostics().transport.as_ref().unwrap();
         assert_eq!(t.virtual_ticks, 0, "perfect transport never advances time");
         assert_eq!(t.retransmits, 0);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use mpr_core::bidding::StaticStrategy;
 use mpr_core::mechanism::Clearing;
 use mpr_core::{
-    ChainLevel, CostModel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
+    CostModel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
     InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod,
     ParticipantSpec, QuadraticCost, VcgMechanism, Watts,
 };
@@ -79,15 +79,9 @@ fn all_mechanisms() -> Vec<Box<dyn Mechanism>> {
         Box::new(EqlMechanism),
         Box::new(EqlCappingMechanism),
         Box::new(VcgMechanism::best_effort(OptMethod::Auto)),
-        Box::new(
-            FallbackChain::new()
-                .stage(
-                    ChainLevel::Interactive,
-                    InteractiveMechanism::best_effort(int_cfg),
-                )
-                .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-                .stage(ChainLevel::EqlCapping, EqlCappingMechanism),
-        ),
+        Box::new(FallbackChain::degradation(
+            InteractiveMechanism::best_effort(int_cfg),
+        )),
     ]
 }
 

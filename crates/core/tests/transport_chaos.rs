@@ -18,9 +18,9 @@
 use mpr_core::bidding::StaticStrategy;
 use mpr_core::mechanism::Clearing;
 use mpr_core::{
-    ChainLevel, EqlCappingMechanism, FallbackChain, InteractiveConfig, MclrMechanism, Mechanism,
-    NetFaultConfig, NetGainAgent, PerfectTransport, QuadraticCost, ResilientConfig, SimNet,
-    Transport, TransportConfig, TransportedInteractiveMechanism, Watts,
+    FallbackChain, InteractiveConfig, Mechanism, NetFaultConfig, NetGainAgent, PerfectTransport,
+    QuadraticCost, ResilientConfig, SimNet, Transport, TransportConfig,
+    TransportedInteractiveMechanism, Watts,
 };
 use proptest::prelude::*;
 
@@ -67,10 +67,7 @@ fn clear_through_chain<T: Transport + 'static>(
     target_w: f64,
 ) -> Clearing {
     let instance = level0.instance();
-    let mut chain = FallbackChain::new()
-        .stage(ChainLevel::Interactive, level0)
-        .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-        .stage(ChainLevel::EqlCapping, EqlCappingMechanism);
+    let mut chain = FallbackChain::degradation(level0);
     chain
         .clear(&instance, Watts::new(target_w))
         .expect("the degradation chain clears best-effort")

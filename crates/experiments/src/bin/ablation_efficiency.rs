@@ -59,8 +59,7 @@ fn main() {
 
             let clearing = MclrMechanism::strict()
                 .clear(&instance, target)
-                .expect("feasible")
-                .to_market_clearing();
+                .expect("feasible");
             let wf = analysis::evaluate(&clearing, &costs, &w).expect("consistent");
             if let Some(e) = wf.efficiency() {
                 stat_eff.push(e);
@@ -69,8 +68,7 @@ fn main() {
 
             let clearing = InteractiveMechanism::strict(InteractiveConfig::default())
                 .clear(&instance, target)
-                .expect("feasible")
-                .to_market_clearing();
+                .expect("feasible");
             let wf = analysis::evaluate(&clearing, &costs, &w).expect("consistent");
             if let Some(e) = wf.efficiency() {
                 int_eff.push(e);

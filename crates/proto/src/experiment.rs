@@ -7,7 +7,7 @@
 //! CPU-frequency changes.
 
 use mpr_core::bidding::StaticStrategy;
-use mpr_core::{Participant, StaticMarket, Watts};
+use mpr_core::{MarketInstance, MclrMechanism, Mechanism, ParticipantSpec, Watts};
 use mpr_power::{EmergencyAction, EmergencyConfig, EmergencyController};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -139,11 +139,25 @@ impl Experiment {
         // Cooperative bids are fixed for the whole run (MPR-STAT style).
         // An invalid cost model (never the prototype apps) simply keeps the
         // app out of the market rather than aborting the run.
-        let supplies: Vec<Option<_>> = self
+        let instance: MarketInstance = self
             .apps
             .iter()
-            .map(|a| StaticStrategy::Cooperative.supply_for(&a.cost_model()).ok())
+            .enumerate()
+            .filter_map(|(i, a)| {
+                let supply = StaticStrategy::Cooperative
+                    .supply_for(&a.cost_model())
+                    .ok()?;
+                Some(
+                    ParticipantSpec::new(
+                        i as u64,
+                        supply.delta_max(),
+                        Watts::new(a.watts_per_unit()),
+                    )
+                    .with_bid(supply.bid()),
+                )
+            })
             .collect();
+        let mut market = MclrMechanism::best_effort();
 
         for step in 0..n {
             let t = step as f64;
@@ -167,26 +181,19 @@ impl Experiment {
                     EmergencyAction::Declare { .. } | EmergencyAction::Escalate { .. } => {
                         emergencies += 1;
                         let target = controller.active_target();
-                        let participants: Vec<Participant> = self
-                            .apps
-                            .iter()
-                            .zip(&supplies)
-                            .enumerate()
-                            .filter_map(|(i, (a, s))| {
-                                s.map(|s| {
-                                    Participant::new(i as u64, s, Watts::new(a.watts_per_unit()))
-                                })
-                            })
-                            .collect();
-                        let clearing = StaticMarket::new(participants).clear_best_effort(target);
-                        price = clearing.price().get();
+                        // A market without participants clears nothing.
+                        let clearing = market.clear(&instance, target).ok();
+                        price = clearing.as_ref().map_or(0.0, |c| c.price().get());
                         let mut delivered = 0.0;
-                        for alloc in clearing.allocations() {
-                            let i = alloc.id as usize;
+                        let rows = clearing
+                            .iter()
+                            .flat_map(|c| c.ids().iter().zip(c.reductions()));
+                        for (&id, &reduction) in rows {
+                            let i = id as usize;
                             let Some(app) = self.apps.get(i) else {
                                 continue;
                             };
-                            let f = app.freq_for_reduction(alloc.reduction);
+                            let f = app.freq_for_reduction(reduction);
                             if let Some(fr) = freqs.get_mut(i) {
                                 *fr = f;
                             }

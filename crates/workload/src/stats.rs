@@ -1,4 +1,4 @@
-//! Allocation time series and utilization statistics (Figs. 1(b), 6).
+//! Core-allocation time series and utilization statistics (Figs. 1(b), 6).
 
 use crate::job::Job;
 

@@ -9,7 +9,9 @@
 //! ```
 
 use mpr_core::bidding::{net_gain, StaticStrategy};
-use mpr_core::{CostModel, Participant, ScaledCost, StaticMarket, Watts};
+use mpr_core::{
+    CostModel, MarketInstance, MclrMechanism, Mechanism, ParticipantSpec, ScaledCost, Watts,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three jobs: an insensitive RSBench (16 cores), a mid-range XSBench
@@ -17,7 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let apps = ["RSBench", "XSBench", "SimpleMOC"];
     let cores = [16.0, 16.0, 8.0];
     let mut costs = Vec::new();
-    let mut participants = Vec::new();
+    let mut supplies = Vec::new();
+    let mut rows = Vec::new();
     for (i, (name, c)) in apps.iter().zip(cores).enumerate() {
         let profile = mpr_apps::profile_by_name(name).expect("catalog app");
         // The user's perceived cost: extra execution, α = 1 (Eqn. 6).
@@ -29,36 +32,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cost.delta_max(),
             supply.bid()
         );
-        participants.push(Participant::new(
-            i as u64,
-            supply,
-            Watts::new(profile.unit_dynamic_power_w()),
-        ));
+        rows.push(
+            ParticipantSpec::new(
+                i as u64,
+                supply.delta_max(),
+                Watts::new(profile.unit_dynamic_power_w()),
+            )
+            .with_bid(supply.bid()),
+        );
+        supplies.push(supply);
         costs.push(cost);
     }
 
     // A power overload: the manager must shed 1 kW.
-    let market = StaticMarket::new(participants);
-    let clearing = market.clear(Watts::new(1000.0))?;
+    let instance: MarketInstance = rows.into_iter().collect();
+    let clearing = MclrMechanism::strict().clear(&instance, Watts::new(1000.0))?;
     println!(
         "\nmarket cleared at price q' = {:.3}, total reduction {:.2} cores ({:.0} W)",
         clearing.price().get(),
         clearing.total_reduction(),
         clearing.total_power_reduction().get()
     );
-    for (alloc, cost) in clearing.allocations().iter().zip(&costs) {
-        let gain = net_gain(
-            cost,
-            &market.participants()[alloc.id as usize].supply,
-            clearing.price(),
-        );
+    for (i, ((name, cost), supply)) in apps.iter().zip(&costs).zip(&supplies).enumerate() {
+        let reduction = clearing.reductions()[i];
         println!(
             "  {:>10}: sheds {:>5.2} cores, reward {:>6.3}/h, cost {:>6.3}/h, net gain {:>6.3}/h",
-            apps[alloc.id as usize],
-            alloc.reduction,
-            alloc.reward_rate(),
-            cost.cost(alloc.reduction),
-            gain
+            name,
+            reduction,
+            clearing.payment(i).get(),
+            cost.cost(reduction),
+            net_gain(cost, supply, clearing.price())
         );
     }
     println!("\nthe insensitive app sheds the most; every user gains (cooperative bidding).");

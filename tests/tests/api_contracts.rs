@@ -11,7 +11,7 @@ fn public_types_are_send_and_sync() {
     assert_send_sync::<mpr_core::LinearSupply>();
     assert_send_sync::<mpr_core::Participant>();
     assert_send_sync::<mpr_core::Clearing>();
-    assert_send_sync::<mpr_core::StaticMarket>();
+    assert_send_sync::<mpr_core::MarketInstance>();
     assert_send_sync::<mpr_core::ClearingIndex>();
     assert_send_sync::<mpr_core::QuadraticCost>();
     assert_send_sync::<mpr_apps::AppProfile>();

@@ -4,8 +4,9 @@
 
 use mpr_core::bidding::cooperative_bid;
 use mpr_core::{
-    BiddingAgent, ByzantineAgent, ChainLevel, CrashAgent, InteractiveConfig, NetGainAgent,
-    QuadraticCost, ResilientConfig, ResilientInteractiveMarket, UnresponsiveAgent, Watts,
+    BiddingAgent, ByzantineAgent, ChainLevel, Clearing, CrashAgent, FallbackChain,
+    InteractiveConfig, Mechanism, NetGainAgent, QuadraticCost, ResilientConfig,
+    ResilientInteractiveMechanism, UnresponsiveAgent, Watts,
 };
 use mpr_sim::{Algorithm, FaultPlan, SimConfig, Simulation};
 use mpr_tests::test_trace;
@@ -18,8 +19,8 @@ fn quadratic(id: u64, alpha: f64) -> NetGainAgent<QuadraticCost> {
 
 /// Builds the canonical faulty cohort: 20 agents, 30 % unresponsive from
 /// the first round, 10 % crashing after their first answer.
-fn faulty_cohort() -> ResilientInteractiveMarket {
-    let mut market = ResilientInteractiveMarket::new(ResilientConfig::default());
+fn faulty_cohort() -> ResilientInteractiveMechanism {
+    let mut exchange = ResilientInteractiveMechanism::new(ResilientConfig::default());
     for id in 0..20u64 {
         let alpha = 0.5 + 0.1 * id as f64;
         let cost = QuadraticCost::new(alpha, 1.0);
@@ -30,28 +31,43 @@ fn faulty_cohort() -> ResilientInteractiveMarket {
             6..=7 => Box::new(CrashAgent::new(inner, 1)),
             _ => Box::new(inner),
         };
-        market.register(agent, fallback);
+        exchange.register(agent, fallback);
     }
-    market
+    exchange
+}
+
+/// Clears the exchange's agents through the MPR-INT → MPR-STAT → EQL chain.
+fn clear(level0: ResilientInteractiveMechanism, target: f64) -> Clearing {
+    let instance = level0.instance();
+    FallbackChain::degradation(level0)
+        .clear(&instance, Watts::new(target))
+        .expect("chain clears")
+}
+
+fn chain_level(c: &Clearing) -> ChainLevel {
+    c.diagnostics().chain_level.expect("chains report a level")
+}
+
+fn quarantined_ids(c: &Clearing) -> Vec<u64> {
+    c.diagnostics().quarantined.iter().map(|q| q.id).collect()
 }
 
 /// The acceptance scenario: 30 % unresponsive + 10 % crashing agents in an
 /// MPR-INT overload. The chain still meets the reduction target and the
-/// outcome reports who was quarantined and which level cleared.
+/// clearing reports who was quarantined and which level cleared.
 #[test]
 fn chain_meets_target_with_30pct_unresponsive_10pct_crashing() {
-    let mut market = faulty_cohort();
     // 900 W is comfortably attainable over the 12 healthy survivors
     // (12 × Δ × WPU = 1500 W).
-    let outcome = market.clear(Watts::new(900.0)).expect("chain clears");
+    let clearing = clear(faulty_cohort(), 900.0);
     assert!(
-        outcome.clearing.met_target(),
+        clearing.met_target(),
         "chain must meet the target: delivered {:.1} of 900 W at level {}",
-        outcome.clearing.total_power_reduction(),
-        outcome.chain_level
+        clearing.total_power_reduction(),
+        chain_level(&clearing)
     );
     // All six unresponsive and both crashing agents end up quarantined.
-    let quarantined = outcome.quarantined_ids();
+    let quarantined = quarantined_ids(&clearing);
     assert_eq!(quarantined.len(), 8, "quarantined: {quarantined:?}");
     for id in 0..=7u64 {
         assert!(
@@ -59,24 +75,20 @@ fn chain_meets_target_with_30pct_unresponsive_10pct_crashing() {
             "agent {id} should be quarantined"
         );
     }
-    // The report names the level that produced the final clearing.
-    assert!(outcome.chain_level >= ChainLevel::Interactive);
-    assert_eq!(outcome.residual_watts, 0.0);
+    // The clearing names the level that produced it.
+    assert!(chain_level(&clearing) >= ChainLevel::Interactive);
+    assert_eq!(clearing.residual(), Watts::ZERO);
 }
 
 /// Deterministic replay: two identical faulty clearings agree exactly.
 #[test]
 fn faulty_clearing_is_deterministic() {
-    let a = faulty_cohort()
-        .clear(Watts::new(900.0))
-        .expect("chain clears");
-    let b = faulty_cohort()
-        .clear(Watts::new(900.0))
-        .expect("chain clears");
-    assert_eq!(a.clearing.price(), b.clearing.price());
-    assert_eq!(a.chain_level, b.chain_level);
-    assert_eq!(a.quarantined_ids(), b.quarantined_ids());
-    assert_eq!(a.retries, b.retries);
+    let a = clear(faulty_cohort(), 900.0);
+    let b = clear(faulty_cohort(), 900.0);
+    assert_eq!(a.price(), b.price());
+    assert_eq!(chain_level(&a), chain_level(&b));
+    assert_eq!(quarantined_ids(&a), quarantined_ids(&b));
+    assert_eq!(a.diagnostics().retries, b.diagnostics().retries);
 }
 
 /// An oscillating byzantine cohort trips the convergence watchdog and the
@@ -91,7 +103,7 @@ fn byzantine_oscillation_falls_back_within_round_budget() {
         },
         ..ResilientConfig::default()
     };
-    let mut market = ResilientInteractiveMarket::new(config);
+    let mut exchange = ResilientInteractiveMechanism::new(config);
     for id in 0..10u64 {
         let cost = QuadraticCost::new(1.0, 1.0);
         let fallback = cooperative_bid(&cost).ok();
@@ -101,31 +113,31 @@ fn byzantine_oscillation_falls_back_within_round_budget() {
         } else {
             Box::new(inner)
         };
-        market.register(agent, fallback);
+        exchange.register(agent, fallback);
     }
-    let outcome = market.clear(Watts::new(600.0)).expect("chain clears");
-    assert!(outcome.diverged, "watchdog should flag divergence");
+    let clearing = clear(exchange, 600.0);
     assert!(
-        outcome.clearing.iterations() < 200,
-        "fallback must trigger before the round budget ({} rounds used)",
-        outcome.clearing.iterations()
+        clearing.diagnostics().diverged,
+        "watchdog should flag divergence"
     );
-    assert!(outcome.is_degraded());
-    assert!(outcome.clearing.met_target());
+    assert!(
+        clearing.iterations() < 200,
+        "fallback must trigger before the round budget ({} rounds used)",
+        clearing.iterations()
+    );
+    assert!(chain_level(&clearing) > ChainLevel::Interactive);
+    assert!(clearing.met_target());
 }
 
 /// Beyond what any participant set can deliver, the terminal EQL level
 /// caps uniformly and reports the residual instead of erroring.
 #[test]
 fn infeasible_target_reaches_eql_with_residual() {
-    let mut market = faulty_cohort();
     // Total attainable even with every agent cooperating is 2500 W.
-    let outcome = market
-        .clear(Watts::new(5000.0))
-        .expect("chain always answers");
-    assert_eq!(outcome.chain_level, ChainLevel::EqlCapping);
-    assert!(outcome.residual_watts > 0.0);
-    assert!(outcome.clearing.total_power_reduction() > Watts::ZERO);
+    let clearing = clear(faulty_cohort(), 5000.0);
+    assert_eq!(chain_level(&clearing), ChainLevel::EqlCapping);
+    assert!(clearing.residual() > Watts::ZERO);
+    assert!(clearing.total_power_reduction() > Watts::ZERO);
 }
 
 /// Full-simulator run of the acceptance scenario: faults injected at every

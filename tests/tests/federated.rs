@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use mpr_core::bidding::StaticStrategy;
 use mpr_core::{
-    ChainLevel, CostModel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
-    InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod,
-    ParticipantSpec, ScaledCost, VcgMechanism, Watts,
+    CostModel, EqlMechanism, FallbackChain, InteractiveConfig, InteractiveMechanism,
+    MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod, ParticipantSpec, ScaledCost,
+    VcgMechanism, Watts,
 };
 use mpr_power::{HierarchicalMarket, LevelKind, PowerHierarchy, TopologySpec};
 use mpr_sim::{Algorithm, SimConfig, Simulation};
@@ -66,15 +66,9 @@ fn scheme(name: &str) -> Box<dyn Mechanism> {
         "opt" => Box::new(OptMechanism::strict(OptMethod::Auto)),
         "eql" => Box::new(EqlMechanism),
         "vcg" => Box::new(VcgMechanism::strict(OptMethod::Auto)),
-        "chain" => Box::new(
-            FallbackChain::new()
-                .stage(
-                    ChainLevel::Interactive,
-                    InteractiveMechanism::best_effort(InteractiveConfig::default()),
-                )
-                .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-                .stage(ChainLevel::EqlCapping, EqlCappingMechanism),
-        ),
+        "chain" => Box::new(FallbackChain::degradation(
+            InteractiveMechanism::best_effort(InteractiveConfig::default()),
+        )),
         other => panic!("unknown scheme {other}"),
     }
 }
