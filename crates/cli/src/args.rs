@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use mpr_sim::{Algorithm, FsyncPolicy};
+use mpr_sim::{Algorithm, FaultPlan, FsyncPolicy, NetPlan};
 use mpr_workload::ClusterSpec;
 
 /// A parsed CLI invocation.
@@ -179,6 +179,41 @@ pub struct SimulateArgs {
     pub tree_fault_repair_secs: f64,
     /// Emit CSV instead of a human-readable summary.
     pub csv: bool,
+}
+
+impl SimulateArgs {
+    /// The agent-fault plan the `--fault-*` flags describe.
+    #[must_use]
+    pub fn fault_plan(&self) -> FaultPlan {
+        FaultPlan {
+            unresponsive_frac: self.fault_unresponsive,
+            crash_frac: self.fault_crash,
+            stale_frac: self.fault_stale,
+            byzantine_frac: self.fault_byzantine,
+            ..FaultPlan::default()
+        }
+    }
+
+    /// The message-layer plan the `--net-*` flags describe.
+    #[must_use]
+    pub fn net_plan(&self) -> NetPlan {
+        let mut net = NetPlan {
+            drop_prob: self.net_drop,
+            duplicate_prob: self.net_duplicate,
+            partition_prob: self.net_partition,
+            ..NetPlan::default()
+        };
+        if self.net_delay > 0 {
+            net.max_delay_ticks = self.net_delay.max(net.min_delay_ticks);
+        }
+        if self.net_deadline > 0 {
+            net.deadline_ticks = self.net_deadline;
+        }
+        if self.net_retries > 0 {
+            net.max_attempts = self.net_retries;
+        }
+        net
+    }
 }
 
 /// Arguments of `mpr swf`.
@@ -507,6 +542,18 @@ fn parse_simulate(rest: &[String]) -> Result<SimulateArgs, UsageError> {
     }
     if out.topology.is_some() && !out.federated {
         return Err(UsageError("--topology needs --federated".into()));
+    }
+    // MPR-INT's fault-tolerant exchange clears one flat market, so the
+    // federated tree would be ignored without a word.
+    if out.federated
+        && out.algorithm == Algorithm::MprInt
+        && (out.fault_plan().is_active() || out.net_plan().is_active())
+    {
+        return Err(UsageError(
+            "--federated with --alg mpr-int excludes active --fault-*/--net-* plans \
+             (the fault-tolerant exchange clears flat)"
+                .into(),
+        ));
     }
     let tree_faults = out.tree_fault_ups > 0.0
         || out.tree_fault_ats > 0.0
@@ -1042,6 +1089,36 @@ mod tests {
         assert!(parse(&argv("simulate --federated")).is_err());
         assert!(parse(&argv("simulate --topology tree.json")).is_err());
         assert!(parse(&argv("simulate --topology")).is_err());
+    }
+
+    #[test]
+    fn federated_mpr_int_rejects_fault_and_net_plans() {
+        let fed = "simulate --topology t.json --federated --alg mpr-int";
+        for plan in [
+            "--fault-unresponsive 0.3",
+            "--fault-crash 0.1",
+            "--fault-stale 0.2",
+            "--fault-byzantine 0.1",
+            "--net-drop 0.2",
+            "--net-duplicate 0.1",
+            "--net-partition 0.05",
+            "--net-delay 50",
+        ] {
+            let err = parse(&argv(&format!("{fed} {plan}"))).unwrap_err();
+            assert!(err.0.contains("--federated"), "{plan}: {err}");
+        }
+        // Without an active plan federated MPR-INT runs; other algorithms
+        // never consult the plans, and flat MPR-INT composes them.
+        assert!(parse(&argv(fed)).is_ok());
+        assert!(parse(&argv(&format!("{fed} --net-deadline 9"))).is_ok());
+        assert!(parse(&argv(
+            "simulate --topology t.json --federated --alg mpr-stat --fault-crash 0.1"
+        ))
+        .is_ok());
+        assert!(parse(&argv(
+            "simulate --alg mpr-int --fault-crash 0.1 --net-drop 0.2"
+        ))
+        .is_ok());
     }
 
     #[test]

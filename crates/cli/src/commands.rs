@@ -7,15 +7,15 @@ use std::sync::Arc;
 
 use mpr_core::bidding::StaticStrategy;
 use mpr_core::{
-    ChainLevel, CoreHours, Cores, CostModel, EqlCappingMechanism, EqlMechanism, FallbackChain,
-    InteractiveConfig, InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism,
-    OptMechanism, OptMethod, ParticipantSpec, ScaledCost, VcgMechanism, Watts,
+    CoreHours, Cores, CostModel, EqlMechanism, FallbackChain, InteractiveConfig,
+    InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod,
+    ParticipantSpec, ScaledCost, VcgMechanism, Watts,
 };
 use mpr_power::telemetry::SensorFaultConfig;
 use mpr_proto::{Experiment, ExperimentConfig};
 use mpr_sim::{
-    CheckpointPlan, DurabilityPlan, FaultPlan, FsyncPolicy, LedgerEvent, NetPlan, SimConfig,
-    Simulation, TelemetryConfig,
+    CheckpointPlan, DurabilityPlan, FsyncPolicy, LedgerEvent, SimConfig, Simulation,
+    TelemetryConfig,
 };
 use mpr_workload::TraceGenerator;
 
@@ -88,34 +88,14 @@ pub fn simulate(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let spec = spec_by_name(&args.trace)?.with_span_days(args.days);
     let trace = TraceGenerator::new(spec).with_seed(args.seed).generate();
-    let plan = FaultPlan {
-        unresponsive_frac: args.fault_unresponsive,
-        crash_frac: args.fault_crash,
-        stale_frac: args.fault_stale,
-        byzantine_frac: args.fault_byzantine,
-        ..FaultPlan::default()
-    };
     let mut config = SimConfig::new(args.algorithm, args.oversub_pct)
         .with_participation(args.participation)
         .with_seed(args.seed);
+    let plan = args.fault_plan();
     if plan.is_active() {
         config = config.with_faults(plan);
     }
-    let mut net = NetPlan {
-        drop_prob: args.net_drop,
-        duplicate_prob: args.net_duplicate,
-        partition_prob: args.net_partition,
-        ..NetPlan::default()
-    };
-    if args.net_delay > 0 {
-        net.max_delay_ticks = args.net_delay.max(net.min_delay_ticks);
-    }
-    if args.net_deadline > 0 {
-        net.deadline_ticks = args.net_deadline;
-    }
-    if args.net_retries > 0 {
-        net.max_attempts = args.net_retries;
-    }
+    let net = args.net_plan();
     if net.is_active() {
         config = config.with_net(net);
     }
@@ -549,15 +529,9 @@ fn market_mechanism(choice: crate::args::MarketMechanism) -> Box<dyn Mechanism> 
         M::Opt => Box::new(OptMechanism::strict(OptMethod::Auto)),
         M::Eql => Box::new(EqlMechanism),
         M::Vcg => Box::new(VcgMechanism::strict(OptMethod::Auto)),
-        M::Chain => Box::new(
-            FallbackChain::new()
-                .stage(
-                    ChainLevel::Interactive,
-                    InteractiveMechanism::best_effort(InteractiveConfig::default()),
-                )
-                .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-                .stage(ChainLevel::EqlCapping, EqlCappingMechanism),
-        ),
+        M::Chain => Box::new(FallbackChain::degradation(
+            InteractiveMechanism::best_effort(InteractiveConfig::default()),
+        )),
     }
 }
 

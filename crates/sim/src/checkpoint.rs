@@ -1,7 +1,7 @@
 //! Crash-safe checkpoint/resume for long simulations.
 //!
 //! A checkpoint is a versioned, checksummed binary snapshot of the full
-//! [`EngineState`] — job stream RNG position, active jobs (as their drawn
+//! `EngineState` — job stream RNG position, active jobs (as their drawn
 //! scalars, rebuilt RNG-free on restore), emergency-controller state,
 //! accounting, timeline, event log and the telemetry pipeline. Snapshots
 //! are written atomically (temp file + rename), so a crash mid-write can

@@ -1,6 +1,6 @@
 //! The slot-driven simulation engine (Section IV-A, "Job simulation").
 //!
-//! The run loop is factored into an explicit [`EngineState`] advanced one
+//! The run loop is factored into an explicit `EngineState` advanced one
 //! slot at a time, so the engine supports three execution modes over the
 //! same per-slot code path: a plain [`run`](Simulation::run), a
 //! checkpointed run
@@ -18,9 +18,9 @@ use mpr_apps::{AppProfile, NoisyCost, ProfileCost};
 use mpr_core::bidding::StaticStrategy;
 use mpr_core::mechanism::Clearing as MechanismClearing;
 use mpr_core::{
-    BiddingAgent, ByzantineAgent, ChainLevel, CostModel, CrashAgent, MarketInstance, Mechanism,
-    NetGainAgent, ParticipantSpec, ResilientConfig, ResilientInteractiveMechanism, ScaledCost,
-    SimNet, StaleAgent, SupplyFunction, TransportedInteractiveMechanism, UnresponsiveAgent, Watts,
+    BiddingAgent, ByzantineAgent, ChainLevel, CostModel, CrashAgent, FallbackChain, MarketInstance,
+    Mechanism, NetGainAgent, ParticipantSpec, ScaledCost, StaleAgent, SupplyFunction,
+    UnresponsiveAgent, Watts,
 };
 use mpr_power::telemetry::{FaultySensor, PowerSensor, RobustEstimator};
 use mpr_power::{
@@ -34,6 +34,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::checkpoint::{self, CheckpointError, CheckpointPlan, RunOutcome};
 use crate::config::{Algorithm, CostNoise, FaultPlan, NetPlan, SimConfig};
 use crate::ledger::LedgerEvent;
+use crate::mechanism::AgentExchange;
 use crate::report::{
     DegradationStats, EmergencyEvent, EmergencyEventKind, FederatedStats, ProfileStats, SimReport,
     TransportTotals,
@@ -42,10 +43,6 @@ use crate::report::{
 /// Stream separator for the sensor fault RNG, so telemetry faults never
 /// share draws with profile assignment or the job stream.
 const SENSOR_SEED_XOR: u64 = 0x7e1e_6e74_0bad_5eed;
-
-/// Stream separator for the virtual network's fault RNG, so channel faults
-/// never share draws with agent-fault assignment within an overload event.
-const NET_SEED_XOR: u64 = 0x6e65_745f_5eed_0bad;
 
 /// A job currently executing in the simulated system.
 pub(crate) struct ActiveJob {
@@ -835,15 +832,15 @@ impl<'a> Simulation<'a> {
         if active.is_empty() || target_w <= 0.0 {
             return (0.0, false);
         }
-        if self.config.algorithm == Algorithm::MprInt {
-            // A lossy network subsumes an agent-fault plan: the transported
-            // exchange composes both (faulty agents behind a faulty channel).
-            if let Some(plan) = self.config.net_plan.filter(NetPlan::is_active) {
-                return self.apply_transported_int(active, target_w, acc, plan);
-            }
-            if let Some(plan) = self.config.fault_plan.filter(FaultPlan::is_active) {
-                return self.apply_resilient_int(active, target_w, acc, plan);
-            }
+        // One deterministic stream per fault-tolerant overload event: the
+        // channel faults and the agent-fault assignment depend only on
+        // (seed, event ordinal), never on wall progress, so a resumed run
+        // replays them bit-for-bit.
+        let event_seed =
+            self.config.seed ^ (acc.fault_events as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if let Some(level0) = crate::mechanism::fault_tolerant_exchange(&self.config, event_seed) {
+            acc.fault_events += 1;
+            return self.apply_int_chain(active, target_w, acc, level0, event_seed);
         }
         if self.config.is_federated() {
             if let Some(spec) = self.config.topology.clone() {
@@ -1117,104 +1114,22 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// MPR-INT under fault injection: wraps each participating agent in its
-    /// planned faulty adapter and clears through the
-    /// MPR-INT → MPR-STAT → EQL degradation [`FallbackChain`](mpr_core::FallbackChain),
-    /// recording the degradation diagnostics into the accounting.
-    fn apply_resilient_int(
+    /// MPR-INT under an active agent-fault or net plan: wraps each
+    /// participating agent in its planned faulty adapter, registers it with
+    /// the fault-tolerant `level0` exchange, and clears through the
+    /// MPR-INT → MPR-STAT → EQL [`FallbackChain::degradation`] ladder,
+    /// recording the degradation diagnostics — and, over a network, the
+    /// transport totals — into the accounting.
+    fn apply_int_chain(
         &self,
         active: &mut [ActiveJob],
         target_w: f64,
         acc: &mut Accounting,
-        plan: FaultPlan,
+        mut level0: Box<dyn AgentExchange>,
+        event_seed: u64,
     ) -> (f64, bool) {
-        let cfg = &self.config;
-        // One deterministic stream per overload event: fault assignment
-        // depends only on (seed, event ordinal), never on wall progress.
-        acc.fault_events += 1;
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            cfg.seed ^ (acc.fault_events as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        let mut level0 = ResilientInteractiveMechanism::new(ResilientConfig {
-            interactive: crate::mechanism::interactive_config(cfg),
-            max_retries: plan.max_retries,
-            watchdog_window: plan.watchdog_window,
-            divergence_min_change: plan.divergence_min_change,
-        });
-        for j in active.iter().filter(|j| j.participates) {
-            let inner = NetGainAgent::new(
-                j.idx as u64,
-                j.perceived.clone(),
-                Watts::new(j.profile.unit_dynamic_power_w()),
-            );
-            let agent = planned_agent(&plan, inner, &mut rng);
-            level0.register(agent, j.static_supply.map(|s| s.bid()));
-        }
-        // An overload with zero participants clears nothing.
-        if level0.is_empty() {
-            return (0.0, false);
-        }
-        let instance = level0.instance();
-        let mut chain = crate::mechanism::degradation_chain(level0);
-        match chain.clear(&instance, Watts::new(target_w)) {
-            Ok(clearing) => {
-                let d = clearing.diagnostics();
-                acc.int_iterations += d.iterations;
-                acc.degradation.rounds_retried += d.retries;
-                acc.degradation.participants_quarantined += d.quarantined.len();
-                acc.degradation.residual_overload_watts += clearing.residual().get();
-                if d.diverged {
-                    acc.degradation.diverged_clearings += 1;
-                }
-                let level = d.chain_level.unwrap_or(ChainLevel::Interactive);
-                match level {
-                    ChainLevel::Interactive => {}
-                    ChainLevel::StaticFallback => acc.degradation.static_fallbacks += 1,
-                    ChainLevel::EqlCapping => acc.degradation.eql_cappings += 1,
-                }
-                acc.degradation.observe_chain_level(level);
-                let delivered = apply_uniform(active, &instance, &clearing, true);
-                (delivered, level > ChainLevel::Interactive)
-            }
-            Err(_) => (0.0, false),
-        }
-    }
-
-    /// MPR-INT over a lossy virtual network: every price/bid exchange of
-    /// the overload event runs through a seeded [`SimNet`] with the plan's
-    /// drop/delay/duplicate/partition faults, under the manager's
-    /// deadline/retry/straggler policy, and degrades through the
-    /// MPR-INT-NET → MPR-STAT → EQL chain when the exchange fails. When an
-    /// agent-fault plan is also active, agents are wrapped in their faulty
-    /// adapters too (faulty agents behind a faulty channel). Transport
-    /// diagnostics are absorbed into the accounting for the report.
-    fn apply_transported_int(
-        &self,
-        active: &mut [ActiveJob],
-        target_w: f64,
-        acc: &mut Accounting,
-        plan: NetPlan,
-    ) -> (f64, bool) {
-        let cfg = &self.config;
-        // Same per-event seeding discipline as `apply_resilient_int`: both
-        // the channel faults and any agent-fault assignment depend only on
-        // (seed, event ordinal), so a resumed run replays them bit-for-bit.
-        acc.fault_events += 1;
-        let event_seed = cfg.seed ^ (acc.fault_events as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut rng = ChaCha8Rng::seed_from_u64(event_seed);
-        let fault_plan = cfg.fault_plan.filter(FaultPlan::is_active);
-        let resilient = ResilientConfig {
-            interactive: crate::mechanism::interactive_config(cfg),
-            ..fault_plan.map_or_else(ResilientConfig::default, |fp| ResilientConfig {
-                max_retries: fp.max_retries,
-                watchdog_window: fp.watchdog_window,
-                divergence_min_change: fp.divergence_min_change,
-                ..ResilientConfig::default()
-            })
-        };
-        let net = SimNet::new(plan.fault_config(), event_seed ^ NET_SEED_XOR);
-        let mut level0 =
-            TransportedInteractiveMechanism::new(resilient, plan.transport_config(event_seed), net);
+        let fault_plan = self.config.fault_plan.filter(FaultPlan::is_active);
         for j in active.iter().filter(|j| j.participates) {
             let inner = NetGainAgent::new(
                 j.idx as u64,
@@ -1227,54 +1142,42 @@ impl<'a> Simulation<'a> {
             };
             level0.register(agent, j.static_supply.map(|s| s.bid()));
         }
+        let instance = level0.instance();
         // An overload with zero participants clears nothing.
-        if level0.is_empty() {
+        if instance.is_empty() {
             return (0.0, false);
         }
-        let instance = level0.instance();
-        let mut chain = crate::mechanism::transported_chain(level0);
-        match chain.clear(&instance, Watts::new(target_w)) {
-            Ok(clearing) => {
-                let d = clearing.diagnostics();
-                acc.int_iterations += d.iterations;
-                acc.degradation.rounds_retried += d.retries;
-                acc.degradation.participants_quarantined += d.quarantined.len();
-                acc.degradation.residual_overload_watts += clearing.residual().get();
-                if d.diverged {
-                    acc.degradation.diverged_clearings += 1;
-                }
-                if let Some(t) = d.transport.as_ref() {
-                    acc.transport.absorb(t);
-                    // Each overload event builds a fresh channel, so its
-                    // lifetime counters are exactly this clearing's share.
-                    acc.transport.set_channel_totals(t.channel);
-                }
-                let level = d.chain_level.unwrap_or(ChainLevel::Interactive);
-                match level {
-                    ChainLevel::Interactive => {}
-                    ChainLevel::StaticFallback => acc.degradation.static_fallbacks += 1,
-                    ChainLevel::EqlCapping => acc.degradation.eql_cappings += 1,
-                }
-                acc.degradation.observe_chain_level(level);
-                let delivered = apply_uniform(active, &instance, &clearing, true);
-                (delivered, level > ChainLevel::Interactive)
-            }
-            Err(_) => (0.0, false),
+        let Ok(clearing) =
+            FallbackChain::degradation(level0).clear(&instance, Watts::new(target_w))
+        else {
+            return (0.0, false);
+        };
+        let d = clearing.diagnostics();
+        acc.int_iterations += d.iterations;
+        acc.degradation.rounds_retried += d.retries;
+        acc.degradation.participants_quarantined += d.quarantined.len();
+        acc.degradation.residual_overload_watts += clearing.residual().get();
+        if d.diverged {
+            acc.degradation.diverged_clearings += 1;
         }
+        if let Some(t) = d.transport.as_ref() {
+            acc.transport.absorb(t);
+            // Each overload event builds a fresh channel, so its lifetime
+            // counters are exactly this clearing's share.
+            acc.transport.set_channel_totals(t.channel);
+        }
+        let level = d.chain_level.unwrap_or(ChainLevel::Interactive);
+        match level {
+            ChainLevel::Interactive => {}
+            ChainLevel::StaticFallback => acc.degradation.static_fallbacks += 1,
+            ChainLevel::EqlCapping => acc.degradation.eql_cappings += 1,
+        }
+        acc.degradation.observe_chain_level(level);
+        let delivered = apply_uniform(active, &instance, &clearing, true);
+        (delivered, level > ChainLevel::Interactive)
     }
 
     pub(crate) fn finish_report(&self, setup: &RunSetup, state: EngineState) -> SimReport {
-        if std::env::var("MPR_DEBUG_UNFINISHED").is_ok() && !state.finished {
-            for j in &state.active {
-                eprintln!(
-                    "UNFINISHED active idx {} cores {} remaining {:.0} nominal {:.0} exec_started {:.0} reduction {:.3}",
-                    j.idx, j.cores, j.remaining_secs, j.nominal_secs, j.exec_started_secs, j.reduction
-                );
-            }
-            for &idx in &state.deferred {
-                eprintln!("UNFINISHED deferred idx {idx}");
-            }
-        }
         let EngineState {
             total_slots,
             mut acc,

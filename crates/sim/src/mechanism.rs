@@ -3,18 +3,22 @@
 //!
 //! The engine never talks to a solver directly — every clearing goes
 //! through `Mechanism::clear` over a shared
-//! [`MarketInstance`](mpr_core::MarketInstance), and the choice of solver
+//! [`MarketInstance`], and the choice of solver
 //! is made here, in one place. The simulator always uses the best-effort
 //! variants: an infeasible reduction target must degrade (cap at `Δ_m`),
 //! never abort the run.
 
 use mpr_core::{
-    ChainLevel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
-    InteractiveMechanism, MclrMechanism, Mechanism, OptMechanism, OptMethod,
+    BiddingAgent, EqlMechanism, FallbackChain, InteractiveConfig, InteractiveMechanism,
+    MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod, ResilientConfig,
     ResilientInteractiveMechanism, SimNet, TransportedInteractiveMechanism, VcgMechanism,
 };
 
 use crate::config::{Algorithm, FaultPlan, NetPlan, SimConfig};
+
+/// Stream separator for the virtual network's fault RNG, so channel faults
+/// never share draws with agent-fault assignment within an overload event.
+const NET_SEED_XOR: u64 = 0x6e65_745f_5eed_0bad;
 
 /// The engine's interactive-market tuning for a configuration.
 pub(crate) fn interactive_config(cfg: &SimConfig) -> InteractiveConfig {
@@ -26,9 +30,10 @@ pub(crate) fn interactive_config(cfg: &SimConfig) -> InteractiveConfig {
 
 /// The best-effort mechanism implementing the configured algorithm.
 ///
-/// MPR-INT under an active fault plan is not built here: the resilient
-/// degradation chain needs live agents, which only the engine can provide
-/// per overload event (see [`degradation_chain`]).
+/// MPR-INT under an active fault or net plan is not built here: its
+/// fault-tolerant exchange needs live agents, which only the engine can
+/// provide per overload event, and clears through the
+/// [`FallbackChain::degradation`] ladder.
 #[must_use]
 pub fn for_algorithm(cfg: &SimConfig) -> Box<dyn Mechanism> {
     match cfg.algorithm {
@@ -40,25 +45,69 @@ pub fn for_algorithm(cfg: &SimConfig) -> Box<dyn Mechanism> {
     }
 }
 
-/// The MPR-INT → MPR-STAT → EQL-capping degradation chain over a level-0
-/// resilient exchange that already holds the (possibly faulty) agents.
-pub(crate) fn degradation_chain(level0: ResilientInteractiveMechanism) -> FallbackChain<'static> {
-    FallbackChain::new()
-        .stage(ChainLevel::Interactive, level0)
-        .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-        .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+/// A level-0 exchange that owns its bidding agents: the first stage of the
+/// degradation chain MPR-INT clears through under an active fault or net
+/// plan.
+pub(crate) trait AgentExchange: Mechanism {
+    /// Registers an agent with its submission-time cooperative bid.
+    fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>);
+    /// The instance matching the registered agents, in registration order.
+    fn instance(&self) -> MarketInstance;
 }
 
-/// The MPR-INT-over-lossy-network → MPR-STAT → EQL-capping degradation
-/// chain over a level-0 transported exchange that already holds the agents
-/// and the seeded virtual network.
-pub(crate) fn transported_chain(
-    level0: TransportedInteractiveMechanism<SimNet>,
-) -> FallbackChain<'static> {
-    FallbackChain::new()
-        .stage(ChainLevel::Interactive, level0)
-        .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-        .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+impl AgentExchange for ResilientInteractiveMechanism {
+    fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
+        ResilientInteractiveMechanism::register(self, agent, fallback_bid);
+    }
+    fn instance(&self) -> MarketInstance {
+        ResilientInteractiveMechanism::instance(self)
+    }
+}
+
+impl AgentExchange for TransportedInteractiveMechanism<SimNet> {
+    fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
+        TransportedInteractiveMechanism::register(self, agent, fallback_bid);
+    }
+    fn instance(&self) -> MarketInstance {
+        TransportedInteractiveMechanism::instance(self)
+    }
+}
+
+/// The fault-tolerant level-0 exchange for one overload event, seeded from
+/// `event_seed`, or `None` when the configuration clears through
+/// [`for_algorithm`] (not MPR-INT, or no active fault or net plan).
+///
+/// A lossy network takes precedence: the transported exchange over a
+/// seeded [`SimNet`] composes an active agent-fault plan (faulty agents
+/// behind a faulty channel). Otherwise an active agent-fault plan runs the
+/// synchronous resilient exchange.
+pub(crate) fn fault_tolerant_exchange(
+    cfg: &SimConfig,
+    event_seed: u64,
+) -> Option<Box<dyn AgentExchange>> {
+    if cfg.algorithm != Algorithm::MprInt {
+        return None;
+    }
+    let fault_plan = cfg.fault_plan.filter(FaultPlan::is_active);
+    let resilient = ResilientConfig {
+        interactive: interactive_config(cfg),
+        ..fault_plan.map_or_else(ResilientConfig::default, |fp| ResilientConfig {
+            max_retries: fp.max_retries,
+            watchdog_window: fp.watchdog_window,
+            divergence_min_change: fp.divergence_min_change,
+            ..ResilientConfig::default()
+        })
+    };
+    if let Some(plan) = cfg.net_plan.filter(NetPlan::is_active) {
+        let net = SimNet::new(plan.fault_config(), event_seed ^ NET_SEED_XOR);
+        return Some(Box::new(TransportedInteractiveMechanism::new(
+            resilient,
+            plan.transport_config(event_seed),
+            net,
+        )));
+    }
+    fault_plan
+        .map(|_| Box::new(ResilientInteractiveMechanism::new(resilient)) as Box<dyn AgentExchange>)
 }
 
 /// Human-readable descriptor of the clearing mechanism a configuration
@@ -66,18 +115,12 @@ pub(crate) fn transported_chain(
 /// never be resumed under a different mechanism or chain shape.
 #[must_use]
 pub fn descriptor(cfg: &SimConfig) -> String {
-    // A lossy network takes precedence: the engine composes an active fault
-    // plan *into* the transported chain, so the shape is MPR-INT-NET's.
-    if cfg.algorithm == Algorithm::MprInt && cfg.net_plan.filter(NetPlan::is_active).is_some() {
-        // Mirror the stages of `transported_chain` by mechanism name.
-        "chain(MPR-INT-NET,MPR-STAT,EQL-CAP)".to_owned()
-    } else if cfg.algorithm == Algorithm::MprInt
-        && cfg.fault_plan.filter(FaultPlan::is_active).is_some()
-    {
-        // Mirror the stages of `degradation_chain` by mechanism name.
-        "chain(MPR-INT-RESILIENT,MPR-STAT,EQL-CAP)".to_owned()
-    } else {
-        for_algorithm(cfg).name().to_owned()
+    match fault_tolerant_exchange(cfg, 0) {
+        Some(level0) => format!(
+            "chain({})",
+            FallbackChain::degradation(level0).stage_names().join(",")
+        ),
+        None => for_algorithm(cfg).name().to_owned(),
     }
 }
 
