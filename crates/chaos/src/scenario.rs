@@ -4,8 +4,7 @@
 //! algorithm, an oversubscription level, a per-run simulation seed, config
 //! perturbations (participation, α-spread, cost noise, power phases) and
 //! up to four fault layers — agent faults ([`FaultPlan`]), message-layer
-//! faults ([`NetPlan`]), sensor faults
-//! ([`SensorFaultConfig`](mpr_power::telemetry::SensorFaultConfig)) and
+//! faults ([`NetPlan`]), sensor faults ([`SensorFaultConfig`]) and
 //! storage faults under the durable market ledger ([`DiskPlan`]). A drawn
 //! disk layer usually also schedules a mid-run manager kill
 //! ([`Scenario::kill_at_frac`]), exercising the checkpoint + ledger-replay

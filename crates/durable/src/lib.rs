@@ -6,16 +6,14 @@
 //! must never be applied twice. This crate provides the storage-level
 //! building blocks for that guarantee:
 //!
-//! * [`storage`] — a byte-level [`Storage`](storage::Storage) trait with a
-//!   real file backend ([`FileStorage`](storage::FileStorage)), an in-memory
-//!   backend ([`MemStorage`](storage::MemStorage)) and a deterministic,
-//!   ChaCha8-seeded [`FaultyDisk`](storage::FaultyDisk) that injects torn
+//! * [`storage`] — a byte-level [`Storage`] trait with a real file backend
+//!   ([`FileStorage`]), an in-memory backend ([`MemStorage`]) and a
+//!   deterministic, ChaCha8-seeded [`FaultyDisk`] that injects torn
 //!   writes, short writes, bit flips, ENOSPC and failed fsyncs — the storage
 //!   sibling of `FaultySensor` (mpr-power) and `SimNet` (mpr-core).
 //! * [`wal`] — an append-only, CRC-framed, versioned write-ahead log
-//!   ([`Wal`](wal::Wal)) with a configurable
-//!   [`FsyncPolicy`](wal::FsyncPolicy), plus a file-backed multi-segment
-//!   variant ([`DirWal`](wal::DirWal)) with atomic segment rotation.
+//!   ([`Wal`]) with a configurable [`FsyncPolicy`], plus a file-backed
+//!   multi-segment variant ([`DirWal`]) with atomic segment rotation.
 //! * [`recover`] — scan-and-truncate recovery: parse the longest valid
 //!   record prefix, report why scanning stopped, and truncate the corrupt
 //!   tail so the log is append-ready again.
@@ -47,7 +45,7 @@ pub use storage::{
 pub use supervisor::{backoff_ms, supervise, Supervised, SupervisorConfig};
 pub use wal::{DirWal, FsyncPolicy, Record, Wal, WalError, MAX_RECORD_LEN, WAL_VERSION};
 
-/// Seed-domain separator for [`FaultyDisk`](storage::FaultyDisk) RNGs, the
+/// Seed-domain separator for [`FaultyDisk`] RNGs, the
 /// disk-fault sibling of `SENSOR_SEED_XOR` / `NET_SEED_XOR` /
 /// `SCENARIO_SEED_XOR`. XORing the simulation seed with this constant keeps
 /// the disk fault stream statistically independent of every other seeded

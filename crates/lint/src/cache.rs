@@ -11,7 +11,7 @@
 //!
 //! Two global keys guard reuse:
 //!
-//! * [`RULESET_VERSION`](crate::rules::RULESET_VERSION) — bumping the rule
+//! * [`RULESET_VERSION`] — bumping the rule
 //!   engine invalidates the whole cache, and
 //! * the workspace symbol-table digest — cross-file rules (L6 unit-flow,
 //!   L7 error-swallowing) read other files' signatures, so an export change
