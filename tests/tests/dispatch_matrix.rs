@@ -1,11 +1,12 @@
 //! Pins the simulator's clearing dispatch: for every algorithm × plan
-//! configuration the FNV-1a-64 hash of the report's `Debug` rendering on a
+//! configuration, and for the job-level bid inputs (α spread, cost noise,
+//! participation) under both market algorithms, the FNV-1a-64 hash of the report's `Debug` rendering on a
 //! small seeded trace must stay exactly as recorded. A refactor of the
 //! clearing path that changes any figure, counter or diagnostic of any
 //! configuration changes its hash.
 
 use mpr_power::{GridFaultPlan, TopologySpec};
-use mpr_sim::{Algorithm, FaultPlan, NetPlan, SimConfig, Simulation};
+use mpr_sim::{Algorithm, CostNoise, FaultPlan, NetPlan, SimConfig, Simulation};
 use mpr_tests::test_trace;
 
 /// FNV-1a, 64-bit.
@@ -65,6 +66,31 @@ fn configs(family: &str) -> Vec<(String, SimConfig)> {
             ),
         ]
     };
+    // The job-level bid inputs: heterogeneous α, noisy or biased cost
+    // perception, and partial participation.
+    let bidders = |label: &str, alg| {
+        let base = SimConfig::new(alg, 15.0);
+        vec![
+            (
+                format!("{label}/alpha-spread"),
+                base.clone().with_alpha_spread(0.5),
+            ),
+            (
+                format!("{label}/noise-random"),
+                base.clone()
+                    .with_cost_noise(CostNoise::Random { magnitude: 0.3 }),
+            ),
+            (
+                format!("{label}/noise-under"),
+                base.clone()
+                    .with_cost_noise(CostNoise::Underestimate { fraction: 0.3 }),
+            ),
+            (
+                format!("{label}/participation"),
+                base.with_participation(0.5),
+            ),
+        ]
+    };
     match family {
         "opt" => flat(Algorithm::Opt),
         "eql" => flat(Algorithm::Eql),
@@ -75,12 +101,16 @@ fn configs(family: &str) -> Vec<(String, SimConfig)> {
         .concat(),
         "mpr-int" => flat(Algorithm::MprInt),
         "mpr-int-federated" => federated("mpr-int", Algorithm::MprInt),
+        "mpr-stat-bidders" => bidders("mpr-stat", Algorithm::MprStat),
+        "mpr-int-bidders" => bidders("mpr-int", Algorithm::MprInt),
         "vcg" => flat(Algorithm::Vcg),
         other => panic!("unknown family {other}"),
     }
 }
 
-/// Report hashes recorded before the clearing-path refactor.
+/// Report hashes recorded before the clearing-path refactor (the
+/// algorithm × plan rows) and before the admission bid memo (the α-spread,
+/// cost-noise and participation rows).
 const PINNED: &[(&str, u64)] = &[
     ("opt/none", 0x12b4e8b9065ac7b6),
     ("opt/faults", 0x12b4e8b9065ac7b6),
@@ -106,6 +136,14 @@ const PINNED: &[(&str, u64)] = &[
     ("mpr-stat/federated+grid", 0x251df45d03bcd4c8),
     ("mpr-int/federated", 0x37514b03fb3f2b51),
     ("mpr-int/federated+grid", 0xa2e2f9e57f2c06af),
+    ("mpr-stat/alpha-spread", 0x01dcfcd09aac0d63),
+    ("mpr-stat/noise-random", 0x9bf74d59f53d5b82),
+    ("mpr-stat/noise-under", 0x5bae8b7b3d3ae783),
+    ("mpr-stat/participation", 0x7c997903f95266d9),
+    ("mpr-int/alpha-spread", 0x9af69629e678d966),
+    ("mpr-int/noise-random", 0x88644796fbe43d76),
+    ("mpr-int/noise-under", 0x282167fa68616c00),
+    ("mpr-int/participation", 0x432847b30c535f46),
 ];
 
 fn check(family: &str) {
@@ -149,6 +187,16 @@ fn mpr_int_reports_match_the_pinned_hashes() {
 #[test]
 fn federated_mpr_int_reports_match_the_pinned_hashes() {
     check("mpr-int-federated");
+}
+
+#[test]
+fn mpr_stat_bidder_reports_match_the_pinned_hashes() {
+    check("mpr-stat-bidders");
+}
+
+#[test]
+fn mpr_int_bidder_reports_match_the_pinned_hashes() {
+    check("mpr-int-bidders");
 }
 
 #[test]
