@@ -43,7 +43,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::CostNoise;
-use crate::engine::{Accounting, ActiveJob, EngineState, RunSetup, Simulation, TelemetryState};
+use crate::engine::{
+    Accounting, ActiveJob, BidMemo, EngineState, RunSetup, Simulation, TelemetryState,
+};
 use crate::report::{
     DegradationStats, EmergencyEvent, EmergencyEventKind, ProfileStats, SimReport, Timeline,
     TransportTotals,
@@ -821,9 +823,10 @@ pub(crate) fn decode_state(
 
     let n_active = d.len()?;
     let mut active = Vec::with_capacity(n_active);
+    let mut bids = BidMemo::default();
     for _ in 0..n_active {
         let idx = d.usize()?;
-        let Some(profile) = setup.profiles.get(idx) else {
+        let Some(profile) = sim.job_profile(setup, idx) else {
             return Err(CheckpointError::Malformed("job index beyond trace"));
         };
         let alpha = d.f64()?;
@@ -831,7 +834,7 @@ pub(crate) fn decode_state(
         if !noise_factor.is_finite() || noise_factor < 0.0 {
             return Err(CheckpointError::Malformed("invalid noise factor"));
         }
-        let mut job: ActiveJob = sim.rebuild_job(idx, profile, alpha, noise_factor);
+        let mut job: ActiveJob = sim.rebuild_job(idx, profile, alpha, noise_factor, &mut bids);
         job.remaining_secs = d.f64()?;
         job.exec_started_secs = d.f64()?;
         job.reduction = d.f64()?;
@@ -1035,6 +1038,7 @@ pub(crate) fn decode_state(
         timeline,
         events,
         telemetry,
+        bids,
     })
 }
 
@@ -1115,7 +1119,7 @@ pub(crate) fn read_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Algorithm, SimConfig, TelemetryConfig};
+    use crate::config::{Algorithm, CostNoise, SimConfig, TelemetryConfig};
     use mpr_workload::{ClusterSpec, Trace, TraceGenerator};
 
     fn small_trace() -> Trace {
@@ -1145,6 +1149,37 @@ mod tests {
         let resumed = sim.resume(&path).expect("resume");
         assert_eq!(resumed, full, "resumed report must be bit-identical");
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn kill_and_resume_with_per_job_bid_inputs_is_bit_identical() {
+        // α spread and random cost noise give nearly every job its own bid
+        // inputs. The bid memo is not checkpointed: restore starts from an
+        // empty memo, refills it only from the jobs it rebuilds, and the
+        // resumed run must still match the uninterrupted one.
+        let trace = small_trace();
+        for alg in [Algorithm::MprStat, Algorithm::MprInt] {
+            let cfg = SimConfig::new(alg, 15.0)
+                .with_alpha_spread(0.5)
+                .with_cost_noise(CostNoise::Random { magnitude: 0.3 });
+            let full = Simulation::new(&trace, cfg.clone()).run();
+
+            let path = tmp_ckpt(&format!("memo_resume_{alg:?}"));
+            let plan = CheckpointPlan::every(&path, 400).with_kill_at(2000);
+            let sim = Simulation::new(&trace, cfg);
+            let outcome = sim.run_with_checkpoints(&plan).expect("checkpointed run");
+            assert!(matches!(outcome, RunOutcome::Killed { at_slot: 2000, .. }));
+            let setup = sim.setup();
+            let restored = read_checkpoint(&path, &sim, &setup).expect("restore");
+            assert!(!restored.active.is_empty());
+            assert!(restored.bids.len() <= restored.active.len());
+            let resumed = sim.resume(&path).expect("resume");
+            assert_eq!(
+                resumed, full,
+                "{alg:?}: resumed report must be bit-identical"
+            );
+            let _ = fs::remove_file(&path);
+        }
     }
 
     #[test]

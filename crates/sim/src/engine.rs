@@ -124,8 +124,68 @@ pub(crate) struct RunSetup {
     pub(crate) static_w: f64,
     pub(crate) peak_w: f64,
     pub(crate) capacity_w: f64,
-    pub(crate) profiles: Vec<Arc<AppProfile>>,
+    /// Each trace job's profile, as an index into [`SimConfig::profiles`].
+    pub(crate) profiles: Vec<usize>,
     pub(crate) horizon_slots: usize,
+}
+
+/// The cooperative static bids computed at job admission, reused for
+/// every later admission with the same inputs.
+///
+/// A job's bid `b = max_δ (Δ−δ)·C(δ)/δ` depends only on its profile, α,
+/// cost-perception factor and core count. One entry is kept per
+/// (profile index into [`SimConfig::profiles`], cores), holding the α and
+/// perception-factor bits it was computed for: a hit needs equal bits, a
+/// miss recomputes and replaces the entry. The memo therefore never holds
+/// more than profiles × distinct core counts entries, whatever α spread or
+/// cost noise the run draws. It is derived data and never checkpointed: a
+/// restored run starts with an empty memo and recomputes on demand.
+#[derive(Default)]
+pub(crate) struct BidMemo {
+    entries: BTreeMap<(usize, u32), MemoEntry>,
+}
+
+struct MemoEntry {
+    alpha_bits: u64,
+    noise_bits: u64,
+    supply: Option<SupplyFunction>,
+}
+
+impl BidMemo {
+    /// The memoized supply for `(profile, cores)` at `alpha` and
+    /// `noise_factor`, running `compute` on a miss.
+    fn supply(
+        &mut self,
+        profile: usize,
+        cores: u32,
+        alpha: f64,
+        noise_factor: f64,
+        compute: impl FnOnce() -> Option<SupplyFunction>,
+    ) -> Option<SupplyFunction> {
+        let (alpha_bits, noise_bits) = (alpha.to_bits(), noise_factor.to_bits());
+        let key = (profile, cores);
+        if let Some(e) = self.entries.get(&key) {
+            if e.alpha_bits == alpha_bits && e.noise_bits == noise_bits {
+                return e.supply;
+            }
+        }
+        let supply = compute();
+        self.entries.insert(
+            key,
+            MemoEntry {
+                alpha_bits,
+                noise_bits,
+                supply,
+            },
+        );
+        supply
+    }
+
+    /// Number of memoized entries.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// The telemetry pipeline state: the (possibly faulty) sensor and the
@@ -136,8 +196,9 @@ pub(crate) struct TelemetryState {
 }
 
 /// Everything that changes while the engine runs — the exact contents of a
-/// checkpoint. Restoring these fields (plus the deterministic
-/// [`RunSetup`]) reproduces the uninterrupted run bit-for-bit.
+/// checkpoint, except the derived [`BidMemo`]. Restoring these fields (plus
+/// the deterministic [`RunSetup`]) reproduces the uninterrupted run
+/// bit-for-bit.
 pub(crate) struct EngineState {
     /// Next slot to simulate.
     pub(crate) step: usize,
@@ -156,6 +217,8 @@ pub(crate) struct EngineState {
     pub(crate) timeline: Option<crate::report::Timeline>,
     pub(crate) events: Vec<EmergencyEvent>,
     pub(crate) telemetry: Option<TelemetryState>,
+    /// Admission bid memo; not checkpointed.
+    pub(crate) bids: BidMemo,
 }
 
 /// A configured simulation over one trace.
@@ -186,13 +249,21 @@ impl<'a> Simulation<'a> {
     /// Capacity is `peak · 100/(100+x)` (Section IV-A).
     #[must_use]
     pub fn reference_peak_watts(&self) -> Watts {
-        let profiles = self.assign_profiles();
+        self.peak_watts_for(&self.assign_profiles())
+    }
+
+    /// [`reference_peak_watts`](Self::reference_peak_watts) for a given
+    /// profile assignment (indices into [`SimConfig::profiles`], one per
+    /// trace job).
+    fn peak_watts_for(&self, assignment: &[usize]) -> Watts {
+        let profiles = &self.config.profiles;
         let static_w = self.config.power_model.static_w_per_core();
         let slot = self.config.slot_secs;
         let span = self.trace.span_secs();
         let n = (span / slot).ceil() as usize;
         let mut diff = vec![0.0f64; n + 1];
-        for (job, p) in self.trace.jobs().iter().zip(&profiles) {
+        let assigned = assignment.iter().filter_map(|&k| profiles.get(k));
+        for (job, p) in self.trace.jobs().iter().zip(assigned) {
             let w = f64::from(job.cores) * (static_w + p.unit_dynamic_power_w());
             let s = ((job.start_secs / slot).floor() as usize).min(n);
             let e = ((job.end_secs() / slot).ceil() as usize).clamp(s + 1, n.max(s + 1));
@@ -214,24 +285,34 @@ impl<'a> Simulation<'a> {
         Watts::new(peak)
     }
 
-    fn assign_profiles(&self) -> Vec<Arc<AppProfile>> {
+    /// Draws each trace job's profile: an index into
+    /// [`SimConfig::profiles`], uniform, from the config seed's stream.
+    fn assign_profiles(&self) -> Vec<usize> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let profiles = &self.config.profiles;
+        let n = self.config.profiles.len();
         self.trace
             .jobs()
             .iter()
-            .filter_map(|_| {
-                let k = rng.gen_range(0..profiles.len());
-                profiles.get(k).map(Arc::clone)
-            })
+            .map(|_| rng.gen_range(0..n))
             .collect()
+    }
+
+    /// A trace job's profile index and profile, if the job exists.
+    pub(crate) fn job_profile(
+        &self,
+        setup: &RunSetup,
+        job: usize,
+    ) -> Option<(usize, &Arc<AppProfile>)> {
+        let k = *setup.profiles.get(job)?;
+        Some((k, self.config.profiles.get(k)?))
     }
 
     /// Builds the immutable per-run context.
     pub(crate) fn setup(&self) -> RunSetup {
         let cfg = &self.config;
         let slot = cfg.slot_secs;
-        let peak = self.reference_peak_watts();
+        let profiles = self.assign_profiles();
+        let peak = self.peak_watts_for(&profiles);
         let capacity_w = cfg.capacity_watts_override.unwrap_or_else(|| {
             Oversubscription::percent(cfg.oversubscription_pct)
                 .capacity(peak)
@@ -243,7 +324,7 @@ impl<'a> Simulation<'a> {
             static_w: cfg.power_model.static_w_per_core(),
             peak_w: peak.get(),
             capacity_w,
-            profiles: self.assign_profiles(),
+            profiles,
             horizon_slots: ((self.trace.span_secs() / slot).ceil() as usize).saturating_mul(2)
                 + 1440,
         }
@@ -276,6 +357,7 @@ impl<'a> Simulation<'a> {
                 sensor: FaultySensor::new(tc.sensor, cfg.seed ^ SENSOR_SEED_XOR),
                 estimator: RobustEstimator::new(tc.estimator),
             }),
+            bids: BidMemo::default(),
         }
     }
 
@@ -423,8 +505,9 @@ impl<'a> Simulation<'a> {
             if in_emergency {
                 state.deferred.push_back(state.next_job);
                 state.acc.jobs_deferred += 1;
-            } else if let Some(profile) = setup.profiles.get(state.next_job) {
-                let job = self.start_job(state.next_job, profile, t, &mut state.rng);
+            } else if let Some(profile) = self.job_profile(setup, state.next_job) {
+                let job =
+                    self.start_job(state.next_job, profile, t, &mut state.rng, &mut state.bids);
                 if job.static_supply.is_none() {
                     state.acc.degradation.bid_failures += 1;
                 }
@@ -448,14 +531,16 @@ impl<'a> Simulation<'a> {
             // late, stretched run can blow past the simulation horizon.
             let mut started_this_slot = false;
             while let Some(&idx) = state.deferred.front() {
-                let (Some(p), Some(spec)) = (setup.profiles.get(idx), jobs.get(idx)) else {
+                let (Some(profile @ (_, p)), Some(spec)) =
+                    (self.job_profile(setup, idx), jobs.get(idx))
+                else {
                     state.deferred.pop_front();
                     continue;
                 };
                 let job_w = f64::from(spec.cores) * (static_w + p.unit_dynamic_power_w());
                 if job_w <= budget || !started_this_slot {
                     started_this_slot = true;
-                    let job = self.start_job(idx, p, t, &mut state.rng);
+                    let job = self.start_job(idx, profile, t, &mut state.rng, &mut state.bids);
                     if job.static_supply.is_none() {
                         state.acc.degradation.bid_failures += 1;
                     }
@@ -698,9 +783,10 @@ impl<'a> Simulation<'a> {
     fn start_job(
         &self,
         idx: usize,
-        profile: &Arc<AppProfile>,
+        (profile_id, profile): (usize, &Arc<AppProfile>),
         now: f64,
         rng: &mut ChaCha8Rng,
+        bids: &mut BidMemo,
     ) -> ActiveJob {
         let cfg = &self.config;
         let alpha = if cfg.alpha_spread > 0.0 {
@@ -718,7 +804,7 @@ impl<'a> Simulation<'a> {
             CostNoise::Underestimate { fraction } => NoisyCost::underestimate(base, fraction),
         };
         let noise_factor = noisy.factor();
-        let mut job = self.rebuild_job(idx, profile, alpha, noise_factor);
+        let mut job = self.rebuild_job(idx, (profile_id, profile), alpha, noise_factor, bids);
         job.exec_started_secs = now;
         job.participates = rng.gen_bool(cfg.participation.clamp(0.0, 1.0));
         job.phase_offset = rng.gen_range(0.0..self.config.phase_period_secs.max(1.0));
@@ -727,19 +813,23 @@ impl<'a> Simulation<'a> {
 
     /// Constructs an [`ActiveJob`] from its drawn scalars, consuming no
     /// RNG. Fresh starts overwrite the dynamic fields immediately;
-    /// checkpoint restore overwrites them from the snapshot.
+    /// checkpoint restore overwrites them from the snapshot. The
+    /// cooperative static bid comes from `bids` when it holds one for the
+    /// same inputs.
     pub(crate) fn rebuild_job(
         &self,
         idx: usize,
-        profile: &Arc<AppProfile>,
+        (profile_id, profile): (usize, &Arc<AppProfile>),
         alpha: f64,
         noise_factor: f64,
+        bids: &mut BidMemo,
     ) -> ActiveJob {
-        let (cores, runtime_secs) = self
+        let (job_cores, runtime_secs) = self
             .trace
             .jobs()
             .get(idx)
-            .map_or((0.0, 0.0), |j| (f64::from(j.cores), j.runtime_secs));
+            .map_or((0, 0.0), |j| (j.cores, j.runtime_secs));
+        let cores = f64::from(job_cores);
         let base = profile.cost_model(alpha);
         let noisy = NoisyCost::new(base.clone(), noise_factor);
         let perceived = Arc::new(ScaledCost::new(noisy, cores));
@@ -748,10 +838,12 @@ impl<'a> Simulation<'a> {
         // function; if even that is unconstructible the job carries no
         // static supply at all — recorded as a bid failure by the caller,
         // never a panic mid-run.
-        let static_supply = StaticStrategy::Cooperative
-            .supply_for(perceived.as_ref())
-            .ok()
-            .or_else(|| SupplyFunction::new(perceived.delta_max(), 0.0).ok());
+        let static_supply = bids.supply(profile_id, job_cores, alpha, noise_factor, || {
+            StaticStrategy::Cooperative
+                .supply_for(perceived.as_ref())
+                .ok()
+                .or_else(|| SupplyFunction::new(perceived.delta_max(), 0.0).ok())
+        });
         ActiveJob {
             idx,
             cores,
@@ -1337,6 +1429,73 @@ mod tests {
         TraceGenerator::new(ClusterSpec::gaia().with_span_days(5.0))
             .with_seed(3)
             .generate()
+    }
+
+    /// Runs `cfg` slot by slot on `trace`, calling `check` after every
+    /// slot.
+    fn drive_checked(trace: &Trace, cfg: SimConfig, mut check: impl FnMut(&EngineState)) {
+        let sim = Simulation::new(trace, cfg);
+        let setup = sim.setup();
+        let mut state = sim.initial_state(&setup);
+        while !state.finished && state.step < setup.horizon_slots {
+            sim.step_slot(&setup, &mut state);
+            check(&state);
+        }
+    }
+
+    #[test]
+    fn memoized_static_bids_equal_a_fresh_computation() {
+        let trace = small_trace();
+        let same_inputs = SimConfig::new(Algorithm::MprStat, 15.0);
+        let every_input_new = same_inputs
+            .clone()
+            .with_alpha_spread(0.5)
+            .with_cost_noise(CostNoise::Random { magnitude: 0.3 });
+        for (cfg, shares_inputs) in [(same_inputs, true), (every_input_new, false)] {
+            let mut checked = std::collections::BTreeSet::new();
+            let mut memo_len = 0;
+            drive_checked(&trace, cfg, |state| {
+                for job in state.active.iter().filter(|j| checked.insert(j.idx)) {
+                    let fresh = StaticStrategy::Cooperative
+                        .supply_for(job.perceived.as_ref())
+                        .ok()
+                        .or_else(|| SupplyFunction::new(job.perceived.delta_max(), 0.0).ok());
+                    let bits = |s: Option<SupplyFunction>| {
+                        s.map(|s| (s.delta_max().to_bits(), s.bid().to_bits()))
+                    };
+                    assert_eq!(bits(job.static_supply), bits(fresh), "job {}", job.idx);
+                }
+                memo_len = state.bids.len();
+            });
+            assert!(memo_len > 0);
+            if shares_inputs {
+                // Far fewer entries than admissions: most admissions hit.
+                assert!(
+                    2 * memo_len < checked.len(),
+                    "{memo_len} vs {}",
+                    checked.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_stays_within_profiles_times_core_counts() {
+        let trace = small_trace();
+        let cfg = SimConfig::new(Algorithm::MprStat, 15.0).with_alpha_spread(0.5);
+        let core_counts = trace
+            .jobs()
+            .iter()
+            .map(|j| j.cores)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        let bound = cfg.profiles.len() * core_counts;
+        let mut admitted = 0;
+        drive_checked(&trace, cfg, |state| {
+            assert!(state.bids.len() <= bound, "{} > {bound}", state.bids.len());
+            admitted = state.acc.jobs_started;
+        });
+        assert!(admitted > bound, "the bound must be reachable to bite");
     }
 
     #[test]
