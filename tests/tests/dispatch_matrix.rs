@@ -1,7 +1,8 @@
 //! Pins the simulator's clearing dispatch: for every algorithm × plan
-//! configuration, and for the job-level bid inputs (α spread, cost noise,
-//! participation) under both market algorithms, the FNV-1a-64 hash of the report's `Debug` rendering on a
-//! small seeded trace must stay exactly as recorded. A refactor of the
+//! configuration, for the job-level bid inputs (α spread, cost noise,
+//! participation) under both market algorithms, and for a recorded
+//! timeline under phased power, the FNV-1a-64 hash of the report's `Debug`
+//! rendering on a small seeded trace must stay exactly as recorded. A refactor of the
 //! clearing path that changes any figure, counter or diagnostic of any
 //! configuration changes its hash.
 
@@ -104,13 +105,28 @@ fn configs(family: &str) -> Vec<(String, SimConfig)> {
         "mpr-stat-bidders" => bidders("mpr-stat", Algorithm::MprStat),
         "mpr-int-bidders" => bidders("mpr-int", Algorithm::MprInt),
         "vcg" => flat(Algorithm::Vcg),
+        "timeline-phases" => [
+            ("opt", Algorithm::Opt),
+            ("eql", Algorithm::Eql),
+            ("mpr-stat", Algorithm::MprStat),
+            ("mpr-int", Algorithm::MprInt),
+        ]
+        .into_iter()
+        .map(|(label, alg)| {
+            (
+                format!("{label}/timeline+phases"),
+                SimConfig::new(alg, 15.0).with_timeline().with_phases(0.3),
+            )
+        })
+        .collect(),
         other => panic!("unknown family {other}"),
     }
 }
 
 /// Report hashes recorded before the clearing-path refactor (the
-/// algorithm × plan rows) and before the admission bid memo (the α-spread,
-/// cost-noise and participation rows).
+/// algorithm × plan rows), before the admission bid memo (the α-spread,
+/// cost-noise and participation rows) and before the per-job rate cache
+/// (the recorded-timeline, phased-power rows).
 const PINNED: &[(&str, u64)] = &[
     ("opt/none", 0x12b4e8b9065ac7b6),
     ("opt/faults", 0x12b4e8b9065ac7b6),
@@ -144,6 +160,10 @@ const PINNED: &[(&str, u64)] = &[
     ("mpr-int/noise-random", 0x88644796fbe43d76),
     ("mpr-int/noise-under", 0x282167fa68616c00),
     ("mpr-int/participation", 0x432847b30c535f46),
+    ("opt/timeline+phases", 0xe0e0ce3419fd96d7),
+    ("eql/timeline+phases", 0x2ab211585287be1d),
+    ("mpr-stat/timeline+phases", 0x481b675107b5a09d),
+    ("mpr-int/timeline+phases", 0xbd229b0bc874dbb1),
 ];
 
 fn check(family: &str) {
@@ -202,4 +222,9 @@ fn mpr_int_bidder_reports_match_the_pinned_hashes() {
 #[test]
 fn vcg_reports_match_the_pinned_hashes() {
     check("vcg");
+}
+
+#[test]
+fn timeline_and_phase_reports_match_the_pinned_hashes() {
+    check("timeline-phases");
 }
