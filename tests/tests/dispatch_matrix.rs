@@ -4,11 +4,16 @@
 //! timeline under phased power, the FNV-1a-64 hash of the report's `Debug`
 //! rendering on a small seeded trace must stay exactly as recorded. A refactor of the
 //! clearing path that changes any figure, counter or diagnostic of any
-//! configuration changes its hash.
+//! configuration changes its hash. The same holds for runs on a slot length
+//! that is not a whole number of seconds, and for the checkpoint bytes
+//! written at quiet (Normal-phase) slots.
 
 use mpr_power::{GridFaultPlan, TopologySpec};
-use mpr_sim::{Algorithm, CostNoise, FaultPlan, NetPlan, SimConfig, Simulation};
-use mpr_tests::test_trace;
+use mpr_sim::{
+    Algorithm, CheckpointPlan, CostNoise, EmergencyEventKind, FaultPlan, NetPlan, RunOutcome,
+    SimConfig, Simulation,
+};
+use mpr_tests::{quiet_slot_between_completions, test_trace};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -119,14 +124,23 @@ fn configs(family: &str) -> Vec<(String, SimConfig)> {
             )
         })
         .collect(),
+        "fractional-slot" => [("mpr-stat", Algorithm::MprStat), ("eql", Algorithm::Eql)]
+            .into_iter()
+            .map(|(label, alg)| {
+                let mut cfg = SimConfig::new(alg, 15.0);
+                cfg.slot_secs = 45.5;
+                (format!("{label}/slot-45.5"), cfg)
+            })
+            .collect(),
         other => panic!("unknown family {other}"),
     }
 }
 
 /// Report hashes recorded before the clearing-path refactor (the
 /// algorithm × plan rows), before the admission bid memo (the α-spread,
-/// cost-noise and participation rows) and before the per-job rate cache
-/// (the recorded-timeline, phased-power rows).
+/// cost-noise and participation rows), before the per-job rate cache
+/// (the recorded-timeline, phased-power rows) and before the slot draw
+/// cache and lazy full-speed progress (the 45.5 s slot rows).
 const PINNED: &[(&str, u64)] = &[
     ("opt/none", 0x12b4e8b9065ac7b6),
     ("opt/faults", 0x12b4e8b9065ac7b6),
@@ -164,6 +178,19 @@ const PINNED: &[(&str, u64)] = &[
     ("eql/timeline+phases", 0x2ab211585287be1d),
     ("mpr-stat/timeline+phases", 0x481b675107b5a09d),
     ("mpr-int/timeline+phases", 0xbd229b0bc874dbb1),
+    ("mpr-stat/slot-45.5", 0xe2246a8bfb39ef9d),
+    ("eql/slot-45.5", 0x4bb847da3a6863bf),
+];
+
+/// Checkpoint-file hashes, recorded before the slot draw cache and lazy
+/// full-speed progress, for a kill one slot before the first declare and
+/// one between two completions after a lift: both Normal-phase slots with
+/// unreduced jobs mid-flight.
+const PINNED_CHECKPOINTS: &[(&str, u64)] = &[
+    ("mpr-stat/before-declare", 0x0a57a74d630c9273),
+    ("mpr-stat/after-lift", 0xb37f9df06db2d79b),
+    ("eql/before-declare", 0x53884fa0d36dffa9),
+    ("eql/after-lift", 0x4371157702c686e4),
 ];
 
 fn check(family: &str) {
@@ -227,4 +254,73 @@ fn vcg_reports_match_the_pinned_hashes() {
 #[test]
 fn timeline_and_phase_reports_match_the_pinned_hashes() {
     check("timeline-phases");
+}
+
+#[test]
+fn fractional_slot_reports_match_the_pinned_hashes() {
+    check("fractional-slot");
+}
+
+/// The checkpoint file a run writes when killed at `kill_at`, after a
+/// checkpoint at that very slot.
+fn checkpoint_bytes(
+    trace: &mpr_workload::Trace,
+    cfg: &SimConfig,
+    tag: &str,
+    kill_at: usize,
+) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("mpr_dispatch_{}_{tag}.ckpt", std::process::id()));
+    let plan = CheckpointPlan::every(&path, kill_at).with_kill_at(kill_at);
+    let outcome = Simulation::new(trace, cfg.clone())
+        .run_with_checkpoints(&plan)
+        .expect("checkpointed run");
+    assert!(
+        matches!(outcome, RunOutcome::Killed { .. }),
+        "{tag}: kill must fire"
+    );
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+#[test]
+fn quiet_slot_checkpoint_bytes_match_the_pinned_hashes() {
+    let trace = test_trace(1.0, 17);
+    let mut mismatches = Vec::new();
+    for (label, alg) in [("mpr-stat", Algorithm::MprStat), ("eql", Algorithm::Eql)] {
+        let cfg = SimConfig::new(alg, 15.0);
+        let first_declare = Simulation::new(&trace, cfg.clone())
+            .run()
+            .events
+            .iter()
+            .find(|e| e.kind == EmergencyEventKind::Declare)
+            .map(|e| (e.t_secs / cfg.slot_secs) as usize)
+            .expect("probe run must declare");
+        assert!(first_declare > 1);
+        let after_lift = quiet_slot_between_completions(&trace, &cfg);
+        for (kind, kill_at) in [
+            ("before-declare", first_declare - 1),
+            ("after-lift", after_lift),
+        ] {
+            let name = format!("{label}/{kind}");
+            let hash = fnv1a64(&checkpoint_bytes(
+                &trace,
+                &cfg,
+                &name.replace('/', "_"),
+                kill_at,
+            ));
+            let pinned = PINNED_CHECKPOINTS
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, h)| *h);
+            if pinned != Some(hash) {
+                mismatches.push(format!("    (\"{name}\", {hash:#018x}),"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "checkpoint hashes differ from the pinned bytes:\n{}",
+        mismatches.join("\n")
+    );
 }

@@ -9,7 +9,7 @@
 
 use mpr_durable::FsyncPolicy;
 use mpr_sim::{run_durable, Algorithm, DiskPlan, DurabilityPlan, DurableRun, SimConfig, SimReport};
-use mpr_tests::test_trace;
+use mpr_tests::{quiet_slot_between_completions, test_trace};
 use proptest::prelude::*;
 
 /// Strips the durability totals so a recovered report can be compared
@@ -59,6 +59,31 @@ fn kill_recover_matrix_is_bit_identical() {
             );
             assert!(!totals.safe_mode, "recovery must not escalate");
         }
+    }
+}
+
+/// A kill at a Normal-phase slot between two completions, recovered from a
+/// checkpoint taken in the same quiet stretch, reproduces the
+/// uninterrupted run under both a market and the EQL baseline.
+#[test]
+fn kill_at_a_quiet_slot_between_completions_recovers_bit_identical() {
+    let seed = 3u64;
+    for alg in [Algorithm::MprStat, Algorithm::Eql] {
+        let base = SimConfig::new(alg, 15.0).with_seed(seed);
+        let kill_at = quiet_slot_between_completions(&test_trace(2.0, seed), &base);
+        let cfg = base.with_durability(DurabilityPlan {
+            checkpoint_every: 1,
+            ..DurabilityPlan::kill_at(kill_at as u64)
+        });
+        let full = baseline(&cfg, 2.0, seed);
+        let run = durable(&cfg, 2.0, seed);
+        assert_eq!(
+            without_durability(&run.report),
+            full,
+            "{alg} kill {kill_at}: recovered report must be bit-identical"
+        );
+        let totals = run.report.durability.expect("durability totals");
+        assert_eq!(totals.replay_divergence, 0, "{alg} kill {kill_at}");
     }
 }
 

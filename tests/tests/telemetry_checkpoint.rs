@@ -13,7 +13,7 @@ use mpr_sim::{
     Algorithm, CheckpointPlan, FaultPlan, RunOutcome, SimConfig, SimReport, Simulation,
     TelemetryConfig,
 };
-use mpr_tests::test_trace;
+use mpr_tests::{quiet_slot_between_completions, test_trace};
 
 fn ckpt_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mpr_accept_{}_{tag}.ckpt", std::process::id()))
@@ -94,6 +94,23 @@ fn kill_mid_overload_under_eql_and_resume_is_bit_identical() {
     assert!(probe.overload_events > 0, "need an overload to kill inside");
     let kill_at = slot_during_emergency(&probe, cfg.slot_secs);
     assert_kill_resume_identity_every(cfg, "eql_mid_overload", kill_at, kill_at);
+}
+
+#[test]
+fn kill_at_a_quiet_slot_between_completions_and_resume_is_bit_identical() {
+    // A Normal-phase slot with unreduced jobs mid-flight: the checkpoint
+    // must carry each job's remaining work as of the kill slot, and the
+    // resumed run must complete every job exactly where the
+    // uninterrupted run does.
+    let trace = test_trace(5.0, 3);
+    for (tag, alg) in [
+        ("stat_quiet", Algorithm::MprStat),
+        ("eql_quiet", Algorithm::Eql),
+    ] {
+        let cfg = SimConfig::new(alg, 15.0);
+        let kill_at = quiet_slot_between_completions(&trace, &cfg);
+        assert_kill_resume_identity_every(cfg, tag, kill_at, kill_at);
+    }
 }
 
 #[test]
