@@ -44,7 +44,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::config::CostNoise;
 use crate::engine::{
-    Accounting, ActiveJob, BidMemo, EngineState, RunSetup, Simulation, TelemetryState,
+    Accounting, ActiveJob, BidMemo, EngineState, Progress, RunSetup, Simulation, TelemetryState,
 };
 use crate::report::{
     DegradationStats, EmergencyEvent, EmergencyEventKind, ProfileStats, SimReport, Timeline,
@@ -592,13 +592,15 @@ pub(crate) fn encode_state(state: &EngineState) -> Vec<u8> {
     e.f64(cs.active_target.get());
 
     // Active jobs: drawn scalars + dynamic fields; cost models and the
-    // profile Arc are rebuilt deterministically on restore.
+    // profile Arc are rebuilt deterministically on restore. Remaining work
+    // is written as of this slot, also for a lazily stepped job, so the
+    // bytes match an eagerly stepped engine's.
     e.usize(state.active.len());
     for j in &state.active {
         e.usize(j.idx);
         e.f64(j.alpha);
         e.f64(j.noise_factor);
-        e.f64(j.remaining_secs);
+        e.f64(state.progress.remaining(j, state.step));
         e.f64(j.exec_started_secs);
         e.f64(j.reduction);
         e.f64(j.price);
@@ -1025,7 +1027,8 @@ pub(crate) fn decode_state(
         return Err(CheckpointError::Malformed("trailing bytes"));
     }
 
-    Ok(EngineState {
+    // The lazy-progress and draw caches are derived: rebuild them.
+    let mut state = EngineState {
         step,
         total_slots,
         next_job,
@@ -1039,7 +1042,11 @@ pub(crate) fn decode_state(
         events,
         telemetry,
         bids,
-    })
+        progress: Progress::new(setup.slot),
+        draw: None,
+    };
+    state.resync();
+    Ok(state)
 }
 
 // ---------------------------------------------------------------------------

@@ -44,13 +44,20 @@ use crate::report::{
 /// share draws with profile assignment or the job stream.
 const SENSOR_SEED_XOR: u64 = 0x7e1e_6e74_0bad_5eed;
 
+/// Remaining work, full-speed seconds, below which a full-speed job may
+/// step lazily: 2^46, well inside the 2^53 where a whole-second slot
+/// stops being a multiple of the remaining work's ulp.
+const LAZY_MAX_REMAINING_SECS: f64 = 70_368_744_177_664.0;
+
 /// A job currently executing in the simulated system.
 pub(crate) struct ActiveJob {
     /// Index into the trace's job list (doubles as market id).
     pub(crate) idx: usize,
     pub(crate) cores: f64,
     pub(crate) profile: Arc<AppProfile>,
-    /// Remaining work in full-speed seconds.
+    /// Remaining work in full-speed seconds. While the job steps lazily
+    /// this is its remaining work before slot `lazy.synced_step`; read it
+    /// through [`Progress::remaining`].
     pub(crate) remaining_secs: f64,
     pub(crate) nominal_secs: f64,
     pub(crate) exec_started_secs: f64,
@@ -82,6 +89,97 @@ pub(crate) struct ActiveJob {
     /// Slowdown and cost rate at the reduction they were computed for;
     /// derived data, never checkpointed.
     rates: Rates,
+    /// Set while the job steps lazily; derived data, never checkpointed.
+    lazy: Option<Lazy>,
+}
+
+/// A full-speed job stepped in closed form: `remaining_secs` holds its
+/// remaining work before slot `synced_step`, and it completes in slot
+/// `done_step`.
+#[derive(Clone, Copy)]
+struct Lazy {
+    synced_step: usize,
+    done_step: usize,
+}
+
+/// Lazy full-speed progress. At zero reduction a job's rate is exactly
+/// 1.0, and with a whole-second slot and remaining work below
+/// [`LAZY_MAX_REMAINING_SECS`] every per-slot subtraction `r − slot` that
+/// stays non-negative is exact. `k` of them therefore equal the single
+/// subtraction `r − k·slot`, so such a job skips the progress loop until
+/// the slot it completes in. Reduced jobs, and every job when the slot is
+/// fractional, step eagerly each slot. Derived data, never checkpointed:
+/// a restore re-sorts every job with [`EngineState::resync`].
+pub(crate) struct Progress {
+    /// The slot length when it is a whole number of seconds; `None` steps
+    /// every job eagerly.
+    slot: Option<f64>,
+    /// Jobs stepped every slot.
+    eager: usize,
+    /// Earliest `done_step` of a lazy job; `usize::MAX` when none is lazy.
+    due: usize,
+}
+
+impl Progress {
+    pub(crate) fn new(slot: f64) -> Self {
+        Self {
+            slot: (slot.fract().to_bits() == 0).then_some(slot),
+            eager: 0,
+            due: usize::MAX,
+        }
+    }
+
+    /// `job`'s remaining work before slot `step`, materialized when the
+    /// job steps lazily.
+    pub(crate) fn remaining(&self, job: &ActiveJob, step: usize) -> f64 {
+        match (job.lazy, self.slot) {
+            (Some(lazy), Some(slot)) => {
+                job.remaining_secs - step.saturating_sub(lazy.synced_step) as f64 * slot
+            }
+            _ => job.remaining_secs,
+        }
+    }
+
+    /// Stores `job`'s remaining work before slot `step` and ends its lazy
+    /// stepping.
+    fn materialize(&self, job: &mut ActiveJob, step: usize) {
+        job.remaining_secs = self.remaining(job, step);
+        job.lazy = None;
+    }
+
+    /// Sorts `job` into lazy or eager stepping as of slot `step`,
+    /// materializing its remaining work first.
+    fn sync(&mut self, job: &mut ActiveJob, step: usize) {
+        self.materialize(job, step);
+        let r = job.remaining_secs;
+        let full_speed = job.reduction <= 0.0 && job.rates().perf.to_bits() == 1f64.to_bits();
+        match self.slot {
+            Some(slot) if full_speed && r > 0.0 && r < LAZY_MAX_REMAINING_SECS => {
+                let done_step = step + slots_to_finish(r, slot) - 1;
+                job.lazy = Some(Lazy {
+                    synced_step: step,
+                    done_step,
+                });
+                self.due = self.due.min(done_step);
+            }
+            _ => self.eager += 1,
+        }
+    }
+}
+
+/// The least `k ≥ 1` with `r − k·slot ≤ 0`: the number of full-speed
+/// slots that finish `r` seconds of work. Every `k·slot` here is a whole
+/// number below 2^53 and so exact, and a subtraction's sign is always
+/// exact, so the float estimate is corrected to the true count.
+fn slots_to_finish(r: f64, slot: f64) -> usize {
+    let mut k = ((r / slot).ceil() as usize).max(1);
+    while k > 1 && r - (k - 1) as f64 * slot <= 0.0 {
+        k -= 1;
+    }
+    while r - k as f64 * slot > 0.0 {
+        k += 1;
+    }
+    k
 }
 
 /// A job's progress rate and true cost rate at one reduction. Only a
@@ -134,6 +232,30 @@ impl ActiveJob {
         self.cores * static_w_per_core
             + (self.cores - self.reduction) * self.profile.unit_dynamic_power_w() * phase
     }
+
+    /// The job's dynamic-power phase factor at `t`: per-job phases
+    /// modulate the dynamic draw around nominal.
+    fn phase(&self, cfg: &SimConfig, t: f64) -> f64 {
+        if cfg.phase_amplitude <= 0.0 {
+            1.0
+        } else {
+            1.0 + cfg.phase_amplitude
+                * (std::f64::consts::TAU * (t + self.phase_offset) / cfg.phase_period_secs).sin()
+        }
+    }
+}
+
+/// The active jobs' power draw and in-force reduction at `t`, watts.
+fn slot_draw(active: &[ActiveJob], static_w: f64, cfg: &SimConfig, t: f64) -> (f64, f64) {
+    let power_w: f64 = active
+        .iter()
+        .map(|j| j.power_w(static_w, j.phase(cfg, t)))
+        .sum();
+    let reduction_w: f64 = active
+        .iter()
+        .map(|j| j.reduction * j.profile.unit_dynamic_power_w() * j.phase(cfg, t))
+        .sum();
+    (power_w, reduction_w)
 }
 
 /// Accumulators shared by the run loop.
@@ -249,9 +371,9 @@ pub(crate) struct TelemetryState {
 }
 
 /// Everything that changes while the engine runs — the exact contents of a
-/// checkpoint, except the derived [`BidMemo`]. Restoring these fields (plus
-/// the deterministic [`RunSetup`]) reproduces the uninterrupted run
-/// bit-for-bit.
+/// checkpoint, except the derived [`BidMemo`], [`Progress`] and cached
+/// draw. Restoring these fields (plus the deterministic [`RunSetup`])
+/// reproduces the uninterrupted run bit-for-bit.
 pub(crate) struct EngineState {
     /// Next slot to simulate.
     pub(crate) step: usize,
@@ -272,6 +394,35 @@ pub(crate) struct EngineState {
     pub(crate) telemetry: Option<TelemetryState>,
     /// Admission bid memo; not checkpointed.
     pub(crate) bids: BidMemo,
+    /// Lazy full-speed progress; not checkpointed.
+    pub(crate) progress: Progress,
+    /// The active jobs' `(power_w, reduction_w)`, or `None` once the
+    /// active set or a reduction changed; not checkpointed.
+    pub(crate) draw: Option<(f64, f64)>,
+}
+
+impl EngineState {
+    /// Adds a freshly started job to the active set.
+    fn admit(&mut self, mut job: ActiveJob) {
+        if job.static_supply.is_none() {
+            self.acc.degradation.bid_failures += 1;
+        }
+        self.progress.sync(&mut job, self.step);
+        self.active.push(job);
+        self.acc.jobs_started += 1;
+        self.draw = None;
+    }
+
+    /// Re-sorts every active job into lazy or eager stepping and drops the
+    /// cached draw: after reductions change, and after a restore.
+    pub(crate) fn resync(&mut self) {
+        self.progress.eager = 0;
+        self.progress.due = usize::MAX;
+        for job in &mut self.active {
+            self.progress.sync(job, self.step);
+        }
+        self.draw = None;
+    }
 }
 
 /// A configured simulation over one trace.
@@ -411,6 +562,8 @@ impl<'a> Simulation<'a> {
                 estimator: RobustEstimator::new(tc.estimator),
             }),
             bids: BidMemo::default(),
+            progress: Progress::new(setup.slot),
+            draw: None,
         }
     }
 
@@ -561,11 +714,7 @@ impl<'a> Simulation<'a> {
             } else if let Some(profile) = self.job_profile(setup, state.next_job) {
                 let job =
                     self.start_job(state.next_job, profile, t, &mut state.rng, &mut state.bids);
-                if job.static_supply.is_none() {
-                    state.acc.degradation.bid_failures += 1;
-                }
-                state.active.push(job);
-                state.acc.jobs_started += 1;
+                state.admit(job);
             }
             state.next_job += 1;
         }
@@ -594,11 +743,7 @@ impl<'a> Simulation<'a> {
                 if job_w <= budget || !started_this_slot {
                     started_this_slot = true;
                     let job = self.start_job(idx, profile, t, &mut state.rng, &mut state.bids);
-                    if job.static_supply.is_none() {
-                        state.acc.degradation.bid_failures += 1;
-                    }
-                    state.active.push(job);
-                    state.acc.jobs_started += 1;
+                    state.admit(job);
                     budget -= job_w;
                     state.deferred.pop_front();
                 } else {
@@ -611,20 +756,18 @@ impl<'a> Simulation<'a> {
         //    phases modulate the dynamic draw around nominal. When a
         //    telemetry pipeline is configured, the controller sees the
         //    robust estimator's conservative upper bound instead of the
-        //    true power — never the raw (noisy, lossy) sensor feed.
-        let phase_of = |j: &ActiveJob| -> f64 {
-            if cfg.phase_amplitude <= 0.0 {
-                1.0
-            } else {
-                1.0 + cfg.phase_amplitude
-                    * (std::f64::consts::TAU * (t + j.phase_offset) / cfg.phase_period_secs).sin()
+        //    true power — never the raw (noisy, lossy) sensor feed. The
+        //    draw depends only on the active set and its reductions (and
+        //    on `t` under phased power), so it is summed again only after
+        //    one of those changed.
+        let (power_w, mut reduction_w) = match state.draw {
+            Some(draw) if cfg.phase_amplitude <= 0.0 => draw,
+            _ => {
+                let draw = slot_draw(&state.active, static_w, cfg, t);
+                state.draw = Some(draw);
+                draw
             }
         };
-        let power_w: f64 = state
-            .active
-            .iter()
-            .map(|j| j.power_w(static_w, phase_of(j)))
-            .sum();
         let measured_w = match state.telemetry.as_mut() {
             Some(tel) => {
                 let reading = tel.sensor.sample(t, Watts::new(power_w));
@@ -734,15 +877,17 @@ impl<'a> Simulation<'a> {
             }
             EmergencyAction::None => {}
         }
+        if !matches!(action, EmergencyAction::None) {
+            // The action may have changed any reduction.
+            state.resync();
+            let draw = slot_draw(&state.active, static_w, cfg, t);
+            state.draw = Some(draw);
+            reduction_w = draw.1;
+        }
 
         // 3. Overload accounting. The "overloaded state" of Table I and
         //    Fig. 8 is demand-based: the power the active jobs would
         //    draw at full speed, regardless of in-force reductions.
-        let reduction_w: f64 = state
-            .active
-            .iter()
-            .map(|j| j.reduction * j.profile.unit_dynamic_power_w() * phase_of(j))
-            .sum();
         // Keep the controller's view of the in-force reduction current: jobs
         // carrying reductions complete over time, and a lift decision that
         // compares headroom against the (stale) reduction recorded at
@@ -758,8 +903,8 @@ impl<'a> Simulation<'a> {
                 j.affected = true;
             }
         }
-        let max_price = state.active.iter().map(|j| j.price).fold(0.0, f64::max);
         if let Some(tl) = state.timeline.as_mut() {
+            let max_price = state.active.iter().map(|j| j.price).fold(0.0, f64::max);
             tl.power_w.push(power_w);
             tl.demand_w.push(demand_w);
             tl.capacity_w.push(capacity_now);
@@ -767,12 +912,31 @@ impl<'a> Simulation<'a> {
             tl.price.push(max_price);
         }
 
-        // 4. Progress and accounting.
+        // 4. Progress and accounting, in scan order. Lazy jobs are skipped
+        //    until the slot they complete in, and the loop runs at all
+        //    only when some job steps eagerly or a lazy one is due.
+        let step = state.step;
+        let progress = &mut state.progress;
+        let run_loop = progress.eager > 0 || progress.due <= step;
+        if run_loop {
+            progress.eager = 0;
+            progress.due = usize::MAX;
+        }
         let mut i = 0;
-        while i < state.active.len() {
+        while run_loop && i < state.active.len() {
             let Some(job) = state.active.get_mut(i) else {
                 break;
             };
+            if let Some(lazy) = job.lazy {
+                if lazy.done_step > step {
+                    progress.due = progress.due.min(lazy.done_step);
+                    i += 1;
+                    continue;
+                }
+                // Due: finish with the same float subtraction an eagerly
+                // stepped job makes.
+                progress.materialize(job, step);
+            }
             let Rates {
                 perf, cost_rate, ..
             } = job.rates();
@@ -827,7 +991,9 @@ impl<'a> Simulation<'a> {
                     state.acc.stretch_count += 1;
                 }
                 state.active.swap_remove(i);
+                state.draw = None;
             } else {
+                progress.eager += 1;
                 i += 1;
             }
         }
@@ -931,6 +1097,7 @@ impl<'a> Simulation<'a> {
             phase_offset: 0.0,
             affected: false,
             rates,
+            lazy: None,
         }
     }
 
@@ -1632,6 +1799,92 @@ mod tests {
                 }
             });
             assert!(reduced_checks > 0, "{alg} must run jobs reduced");
+        }
+    }
+
+    /// After every slot, each job's materialized remaining work equals an
+    /// eagerly stepped shadow to the bit, and a cached draw equals a fresh
+    /// sum. Every algorithm runs plain; phased power and a faulty sensor
+    /// are crossed with the three algorithms whose clearings are cheap
+    /// enough for a debug-build test; one run has a fractional slot.
+    #[test]
+    fn lazy_progress_and_cached_draw_equal_an_eager_shadow_after_every_slot() {
+        let trace = TraceGenerator::new(ClusterSpec::gaia().with_span_days(2.0))
+            .with_seed(3)
+            .generate();
+        let telemetry = TelemetryConfig::with_faults(SensorFaultConfig {
+            noise_sigma_frac: 0.02,
+            dropout_prob: 0.2,
+            ..SensorFaultConfig::default()
+        });
+        let mut configs = Vec::new();
+        for alg in [
+            Algorithm::Opt,
+            Algorithm::Eql,
+            Algorithm::MprStat,
+            Algorithm::MprInt,
+            Algorithm::Vcg,
+        ] {
+            configs.push((format!("{alg}"), SimConfig::new(alg, 15.0)));
+        }
+        for alg in [Algorithm::Opt, Algorithm::Eql, Algorithm::MprStat] {
+            for (phases, sensed) in [(true, false), (false, true), (true, true)] {
+                let mut cfg = SimConfig::new(alg, 15.0);
+                if phases {
+                    cfg = cfg.with_phases(0.3);
+                }
+                if sensed {
+                    cfg = cfg.with_telemetry(telemetry);
+                }
+                configs.push((format!("{alg} phases={phases} telemetry={sensed}"), cfg));
+            }
+        }
+        let mut fractional = SimConfig::new(Algorithm::MprStat, 15.0);
+        fractional.slot_secs = 45.5;
+        configs.push(("MPR-STAT slot=45.5".to_owned(), fractional));
+        for (label, cfg) in configs {
+            let draw_cfg = cfg.clone();
+            let slot = cfg.slot_secs;
+            let static_w = cfg.power_model.static_w_per_core();
+            // Each active job's remaining work, stepped every slot.
+            let mut shadow: BTreeMap<usize, f64> = BTreeMap::new();
+            let (mut lazy_checks, mut draw_checks) = (0usize, 0usize);
+            drive_checked(&trace, cfg, |state| {
+                let mut stepped = BTreeMap::new();
+                for job in &state.active {
+                    let before = shadow.get(&job.idx).copied().unwrap_or(job.nominal_secs);
+                    let perf = job.profile.performance(1.0 - job.reduction / job.cores);
+                    let eager = before - perf * slot;
+                    assert_eq!(
+                        state.progress.remaining(job, state.step).to_bits(),
+                        eager.to_bits(),
+                        "{label}: job {} before slot {}",
+                        job.idx,
+                        state.step
+                    );
+                    assert!(eager > 0.0, "{label}: job {} finished late", job.idx);
+                    stepped.insert(job.idx, eager);
+                    lazy_checks += usize::from(job.lazy.is_some());
+                }
+                shadow = stepped;
+                if let Some((power_w, reduction_w)) = state.draw {
+                    let t = (state.step - 1) as f64 * slot;
+                    let (p, r) = slot_draw(&state.active, static_w, &draw_cfg, t);
+                    assert_eq!(
+                        (power_w.to_bits(), reduction_w.to_bits()),
+                        (p.to_bits(), r.to_bits()),
+                        "{label}: draw after slot {}",
+                        state.step - 1
+                    );
+                    draw_checks += 1;
+                }
+            });
+            assert!(draw_checks > 0, "{label}: the draw must be cached");
+            if slot.fract() > 0.0 {
+                assert_eq!(lazy_checks, 0, "{label}: fractional slots step eagerly");
+            } else {
+                assert!(lazy_checks > 0, "{label}: full-speed jobs must step lazily");
+            }
         }
     }
 
