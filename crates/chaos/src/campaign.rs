@@ -16,11 +16,11 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
+use mpr_core::json::{self, ObjWriter, Value};
 use mpr_sim::Simulation;
 use mpr_workload::{ClusterSpec, Trace, TraceGenerator};
 use rayon::prelude::*;
 
-use crate::json::{self, ObjWriter, Value};
 use crate::oracle::{self, Violation};
 use crate::scenario::Scenario;
 use crate::shrink;

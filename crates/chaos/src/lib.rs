@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod json;
 pub mod oracle;
 pub mod scenario;
 pub mod shrink;

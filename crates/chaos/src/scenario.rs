@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 
+use mpr_core::json::{self, ObjWriter, Value};
 use mpr_core::Watts;
 use mpr_power::telemetry::SensorFaultConfig;
 use mpr_power::{GridFaultPlan, LevelKind, NodeSpec, TopologySpec};
@@ -35,7 +36,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::json::{self, ObjWriter, Value};
 use crate::{SCENARIO_SEED_XOR, SPACE_VERSION};
 
 /// The shrinker's oversubscription resting point: the paper's baseline
@@ -1017,6 +1017,30 @@ mod tests {
                 Scenario::from_json_value(&json::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(back, s, "round-trip mismatch at index {i}\n{text}");
         }
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_first_value() {
+        let s = Scenario::generate(42, 0);
+        let text = s.to_json(0);
+        let decode = |doc: &str| {
+            Scenario::from_json_value(&json::parse(doc).expect("parses")).expect("decodes")
+        };
+        let repeated_last = format!(
+            "{},\n  \"oversub_pct\": 99.0\n}}",
+            text.strip_suffix("\n}").expect("object")
+        );
+        assert_eq!(decode(&repeated_last), s);
+        let repeated_first = text.replacen("{\n", "{\n  \"oversub_pct\": 99.0,\n", 1);
+        let first = decode(&repeated_first);
+        assert_eq!(first.oversub_pct, 99.0);
+        assert_eq!(
+            Scenario {
+                oversub_pct: s.oversub_pct,
+                ..first
+            },
+            s
+        );
     }
 
     #[test]

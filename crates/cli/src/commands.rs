@@ -6,6 +6,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mpr_core::bidding::StaticStrategy;
+use mpr_core::json;
 use mpr_core::{
     CoreHours, Cores, CostModel, EqlMechanism, FallbackChain, InteractiveConfig,
     InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod,
@@ -350,20 +351,6 @@ pub fn simulate(
     Ok(())
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Runs `mpr ledger`: offline inspection and repair of a WAL image written
 /// by `mpr simulate --wal` (or recovered from a crashed manager).
 ///
@@ -395,7 +382,7 @@ pub fn ledger(args: &LedgerArgs, out: &mut dyn Write) -> Result<(), Box<dyn std:
                         "    {{\"seq\": {}, \"kind\": {}, \"event\": \"{}\"}}{}",
                         rec.seq,
                         rec.kind,
-                        json_escape(&event),
+                        json::escape(&event),
                         if i + 1 < report.records.len() {
                             ","
                         } else {
@@ -411,7 +398,7 @@ pub fn ledger(args: &LedgerArgs, out: &mut dyn Write) -> Result<(), Box<dyn std:
                     "  \"corruption\": {}",
                     report.corruption.as_ref().map_or_else(
                         || "null".to_owned(),
-                        |c| format!("\"{}\"", json_escape(&c.to_string()))
+                        |c| format!("\"{}\"", json::escape(&c.to_string()))
                     )
                 )?;
                 writeln!(out, "}}")?;
@@ -456,13 +443,13 @@ pub fn ledger(args: &LedgerArgs, out: &mut dyn Write) -> Result<(), Box<dyn std:
                     out,
                     "{{\"path\": \"{}\", \"ok\": {ok}, \"records\": {}, \
                      \"valid_len\": {}, \"truncated_bytes\": {}, \"corruption\": {}}}",
-                    json_escape(&args.path),
+                    json::escape(&args.path),
                     report.records.len(),
                     report.valid_len,
                     report.truncated_bytes,
                     report.corruption.as_ref().map_or_else(
                         || "null".to_owned(),
-                        |c| format!("\"{}\"", json_escape(&c.to_string()))
+                        |c| format!("\"{}\"", json::escape(&c.to_string()))
                     ),
                 )?;
             } else {
@@ -1179,6 +1166,33 @@ mod tests {
         .expect_err("torn tail must fail verify");
         assert!(err.to_string().contains("corrupt tail"), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn ledger_verify_json_escapes_control_characters_in_the_path() {
+        let path = std::env::temp_dir().join(format!("mpr_cli_{}\ttab.wal", std::process::id()));
+        std::fs::write(&path, mpr_durable::wal::encode_segment_header(7)).unwrap();
+        let wal = path.to_str().unwrap().to_owned();
+        let argv = ["ledger", "verify", &wal, "--json"].map(String::from);
+        let Command::Ledger(a) = parse(&argv).unwrap() else {
+            panic!("expected ledger");
+        };
+        let mut buf = Vec::new();
+        ledger(&a, &mut buf).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("tab.wal"), "{text}");
+        assert!(
+            text.contains("\\ttab.wal"),
+            "a tab is written as \\t: {text}"
+        );
+        let doc = json::parse(&text).expect("verify --json is valid JSON");
+        let obj = doc.as_obj().expect("object");
+        assert_eq!(
+            json::field(obj, "path").unwrap().as_str(),
+            Some(wal.as_str())
+        );
+        assert_eq!(json::field_bool(obj, "ok"), Ok(true));
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //!   core down uniformly.
 //! * [`market`] — the participant side: bidding agents, fault adapters,
 //!   the bid transport and the payment log.
+//! * [`json`] and [`codec`] — the workspace's one JSON codec and one
+//!   little-endian record codec with its FNV-1a hash, shared by every
+//!   crate that reads or writes a format.
 //!
 //! # Quick example
 //!
@@ -62,9 +65,11 @@
 
 pub mod analysis;
 pub mod bidding;
+pub mod codec;
 pub mod cost;
 pub mod eql;
 pub mod error;
+pub mod json;
 pub mod market;
 pub mod mclr;
 pub mod mechanism;
@@ -104,8 +109,8 @@ pub mod prelude {
 pub use cost::{CostModel, LinearCost, LogFitCost, PowerLawCost, QuadraticCost, ScaledCost};
 pub use error::MarketError;
 pub use market::faults::{
-    ByzantineAgent, ChainLevel, ConvergenceWatchdog, CrashAgent, FaultRng, Quarantine,
-    ResilientConfig, StaleAgent, UnresponsiveAgent,
+    ByzantineAgent, ChainLevel, ConvergenceWatchdog, CrashAgent, Quarantine, ResilientConfig,
+    SplitMix64, StaleAgent, UnresponsiveAgent,
 };
 pub use market::interactive::{is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent};
 pub use market::payment::{PaymentKey, PaymentLog};

@@ -38,23 +38,28 @@ use crate::participant::JobId;
 // Deterministic seeding
 // ---------------------------------------------------------------------------
 
-/// SplitMix64: a tiny, dependency-free deterministic generator used to seed
-/// fault behaviour. Not cryptographic; statistical quality is ample for
-/// picking fault phases.
+/// SplitMix64: a tiny, dependency-free deterministic generator — the one
+/// used for agent fault phases, transport jitter and sensor fault
+/// processes. A single `u64` of state, trivially snapshottable; not
+/// cryptographic, but statistically ample for fault sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultRng(u64);
+pub struct SplitMix64 {
+    /// Current generator state. Public so checkpoints can capture and
+    /// restore the stream exactly.
+    pub state: u64,
+}
 
-impl FaultRng {
+impl SplitMix64 {
     /// Creates a generator from a seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        Self(seed)
+        Self { state: seed }
     }
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
+        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
@@ -62,7 +67,16 @@ impl FaultRng {
 
     /// Uniform draw in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Standard-normal draw (Box–Muller, no caching so the per-draw state
+    /// advance is fixed).
+    pub fn next_gaussian(&mut self) -> f64 {
+        // 1 − u ∈ (0, 1] keeps the log argument away from zero.
+        let u1 = 1.0 - self.next_f64();
+        let u2 = self.next_f64();
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 }
 
@@ -242,7 +256,7 @@ impl<A: BiddingAgent> ByzantineAgent<A> {
         } else {
             1.0
         };
-        let over = FaultRng::new(seed).next_u64() & 1 == 0;
+        let over = SplitMix64::new(seed).next_u64() & 1 == 0;
         Self {
             inner,
             factor,
@@ -449,8 +463,8 @@ mod tests {
 
     #[test]
     fn fault_rng_is_deterministic_and_uniformish() {
-        let mut a = FaultRng::new(42);
-        let mut b = FaultRng::new(42);
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
         let xs: Vec<f64> = (0..100).map(|_| a.next_f64()).collect();
         let ys: Vec<f64> = (0..100).map(|_| b.next_f64()).collect();
         assert_eq!(xs, ys);

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::error::MarketError;
-use crate::market::faults::FaultRng;
+use crate::market::faults::SplitMix64;
 use crate::participant::JobId;
 use crate::units::Price;
 
@@ -447,7 +447,7 @@ impl RetryPolicy {
     /// send), in ticks: `min(cap, base · 2^(attempt−1))` plus a jitter draw
     /// in `[0, jitter_ticks]`.
     #[must_use]
-    pub fn backoff(&self, attempt: usize, jitter: &mut FaultRng) -> Tick {
+    pub fn backoff(&self, attempt: usize, jitter: &mut SplitMix64) -> Tick {
         let shift = attempt.saturating_sub(1).min(32) as u32;
         let exp = self
             .base_ticks
@@ -711,7 +711,7 @@ mod tests {
             cap_ticks: 8,
             jitter_ticks: 0,
         };
-        let mut rng = FaultRng::new(9);
+        let mut rng = SplitMix64::new(9);
         assert_eq!(p.backoff(1, &mut rng), 2);
         assert_eq!(p.backoff(2, &mut rng), 4);
         assert_eq!(p.backoff(3, &mut rng), 8);
@@ -722,7 +722,7 @@ mod tests {
             jitter_ticks: 3,
             ..p
         };
-        let mut rng = FaultRng::new(9);
+        let mut rng = SplitMix64::new(9);
         for _ in 0..32 {
             let b = jittery.backoff(1, &mut rng);
             assert!((2..=5).contains(&b), "backoff {b} outside [2, 5]");

@@ -22,7 +22,7 @@
 //! for the next [`FallbackChain`](crate::mechanism::FallbackChain) stage.
 
 use crate::error::MarketError;
-use crate::market::faults::{ConvergenceWatchdog, FaultRng, Quarantine, ResilientConfig};
+use crate::market::faults::{ConvergenceWatchdog, Quarantine, ResilientConfig, SplitMix64};
 use crate::market::interactive::BiddingAgent;
 use crate::market::transport::{
     BidReply, PriceAnnounce, Tick, Transport, TransportConfig, TransportDiagnostics, TransportError,
@@ -85,7 +85,7 @@ pub struct TransportedInteractiveMechanism<T: Transport> {
     /// The exchange's virtual clock, monotone over the mechanism's life.
     now: Tick,
     msg_seq: u64,
-    jitter: FaultRng,
+    jitter: SplitMix64,
 }
 
 impl<T: Transport> std::fmt::Debug for TransportedInteractiveMechanism<T> {
@@ -113,7 +113,7 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
             transport,
             now: 0,
             msg_seq: 0,
-            jitter: FaultRng::new(transport_config.jitter_seed),
+            jitter: SplitMix64::new(transport_config.jitter_seed),
         }
     }
 

@@ -40,7 +40,6 @@ pub mod model;
 pub mod oversubscription;
 pub mod policy;
 pub mod telemetry;
-pub mod thermal;
 pub mod topology;
 pub mod ups;
 
@@ -59,6 +58,5 @@ pub use telemetry::{
     EstimatorConfig, FaultySensor, PowerEstimate, PowerSensor, RobustEstimator, SensorFaultConfig,
     SensorReading, TelemetryHealth, TrueSensor,
 };
-pub use thermal::{RoomState, ThermalModel};
 pub use topology::{NodeSpec, TopologyError, TopologySpec};
 pub use ups::UpsBattery;

@@ -28,50 +28,7 @@
 
 use std::collections::VecDeque;
 
-use mpr_core::Watts;
-
-/// A tiny deterministic PRNG (SplitMix64) for the sensor fault processes.
-///
-/// `mpr-power` deliberately has no RNG dependency; SplitMix64 is the
-/// standard 64-bit mixing generator — a single `u64` of state, trivially
-/// snapshottable, and statistically ample for fault sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    /// Current generator state. Public so checkpoints can capture and
-    /// restore the stream exactly.
-    pub state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator from a seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Standard-normal draw (Box–Muller, no caching so the per-draw state
-    /// advance is fixed).
-    pub fn next_gaussian(&mut self) -> f64 {
-        // 1 − u ∈ (0, 1] keeps the log argument away from zero.
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-}
+use mpr_core::{SplitMix64, Watts};
 
 /// One delivered power sample.
 #[derive(Debug, Clone, Copy, PartialEq)]

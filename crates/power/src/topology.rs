@@ -3,16 +3,18 @@
 //! A [`TopologySpec`] is the JSON description of a [`PowerHierarchy`]
 //! (`examples/tree.json` in the repo root is the canonical sample): a flat
 //! node list in id order, each naming its kind, capacity and parent index.
-//! The container is offline, so (like the chaos repro artifacts) the codec
-//! is hand-rolled against this fixed schema: a small recursive-descent
-//! parser for the JSON subset the schema uses, and a writer whose output
-//! re-parses to an identical spec. Capacities use Rust's shortest
-//! round-trip float formatting, so [`TopologySpec::fingerprint`] — the
-//! value the checkpoint fingerprint folds in, fencing resume under a
-//! different tree — is stable across encode/decode cycles.
+//! Documents are read with the workspace's shared JSON codec
+//! ([`mpr_core::json`]), which keeps the first value of a repeated key,
+//! and written so that the output re-parses to an identical spec.
+//! Capacities use Rust's shortest round-trip float formatting, so
+//! [`TopologySpec::fingerprint`] — the value the checkpoint fingerprint
+//! folds in, fencing resume under a different tree — is stable across
+//! encode/decode cycles.
 
 use std::fmt::Write as _;
 
+use mpr_core::codec::{fnv1a64, Enc};
+use mpr_core::json::{self, Value};
 use mpr_core::Watts;
 
 use crate::hierarchy::{HierarchyError, LevelKind, PowerHierarchy};
@@ -107,44 +109,46 @@ impl TopologySpec {
     /// [`TopologyError`] on malformed JSON, schema violations, or a node
     /// list that is not a single well-ordered tree with at least one rack.
     pub fn parse(text: &str) -> Result<Self, TopologyError> {
-        let doc = json_parse(text)?;
-        let JsonValue::Obj(top) = doc else {
+        let doc = json::parse(text).map_err(|e| TopologyError::Parse {
+            at: e.at,
+            message: e.message,
+        })?;
+        let Value::Obj(top) = doc else {
             return Err(schema_err("top level must be an object"));
         };
-        let name = match top.iter().find(|(k, _)| k == "name") {
-            Some((_, JsonValue::Str(s))) => s.clone(),
+        let name = match top.get("name") {
+            Some(Value::Str(s)) => s.clone(),
             Some(_) => return Err(schema_err("`name` must be a string")),
             None => return Err(schema_err("missing field `name`")),
         };
-        let Some((_, JsonValue::Arr(raw_nodes))) = top.iter().find(|(k, _)| k == "nodes") else {
+        let Some(Value::Arr(raw_nodes)) = top.get("nodes") else {
             return Err(schema_err("missing array field `nodes`"));
         };
         let mut nodes = Vec::with_capacity(raw_nodes.len());
         for (i, raw) in raw_nodes.iter().enumerate() {
-            let JsonValue::Obj(fields) = raw else {
+            let Value::Obj(fields) = raw else {
                 return Err(schema_err(format!("node {i} must be an object")));
             };
-            let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let node_name = match get("name") {
-                Some(JsonValue::Str(s)) => s.clone(),
+            let node_name = match fields.get("name") {
+                Some(Value::Str(s)) => s.clone(),
                 _ => return Err(schema_err(format!("node {i}: `name` must be a string"))),
             };
-            let kind = match get("kind") {
-                Some(JsonValue::Str(s)) => parse_kind(s)
+            let kind = match fields.get("kind") {
+                Some(Value::Str(s)) => parse_kind(s)
                     .ok_or_else(|| schema_err(format!("node {i}: unknown kind `{s}`")))?,
                 _ => return Err(schema_err(format!("node {i}: `kind` must be a string"))),
             };
-            let capacity = match get("capacity_w") {
-                Some(JsonValue::Num(w)) if w.is_finite() && *w > 0.0 => Watts::new(*w),
+            let capacity = match fields.get("capacity_w") {
+                Some(Value::Num(w)) if w.is_finite() && *w > 0.0 => Watts::new(*w),
                 _ => {
                     return Err(schema_err(format!(
                         "node {i}: `capacity_w` must be a positive finite number"
                     )))
                 }
             };
-            let parent = match get("parent") {
-                None | Some(JsonValue::Null) => None,
-                Some(JsonValue::Num(p)) if *p >= 0.0 && p.is_finite() && *p == p.trunc() => {
+            let parent = match fields.get("parent") {
+                None | Some(Value::Null) => None,
+                Some(Value::Num(p)) if *p >= 0.0 && p.is_finite() && *p == p.trunc() => {
                     Some(*p as usize)
                 }
                 _ => {
@@ -255,27 +259,16 @@ impl TopologySpec {
     /// fingerprint folds in, so resume under a different tree is fenced.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.nodes.len() as u64).to_le_bytes());
+        let mut e = Enc::default();
+        e.raw(self.name.as_bytes());
+        e.usize(self.nodes.len());
         for node in &self.nodes {
-            eat(node.name.as_bytes());
-            eat(&[kind_tag(node.kind)]);
-            eat(&node.capacity.get().to_bits().to_le_bytes());
-            match node.parent {
-                None => eat(&u64::MAX.to_le_bytes()),
-                Some(p) => eat(&(p as u64).to_le_bytes()),
-            }
+            e.raw(node.name.as_bytes());
+            e.u8(kind_tag(node.kind));
+            e.f64(node.capacity.get());
+            e.u64(node.parent.map_or(u64::MAX, |p| p as u64));
         }
-        h
+        fnv1a64(e.as_bytes())
     }
 
     /// Renders the spec as a JSON document that parses back to an
@@ -284,7 +277,7 @@ impl TopologySpec {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"name\": \"{}\",", json_escape(&self.name));
+        let _ = writeln!(out, "  \"name\": \"{}\",", json::escape(&self.name));
         let _ = writeln!(out, "  \"nodes\": [");
         for (i, node) in self.nodes.iter().enumerate() {
             let parent = node
@@ -294,7 +287,7 @@ impl TopologySpec {
             let _ = writeln!(
                 out,
                 "    {{\"name\": \"{}\", \"kind\": \"{}\", \"capacity_w\": {:?}, \"parent\": {parent}}}{comma}",
-                json_escape(&node.name),
+                json::escape(&node.name),
                 kind_str(node.kind),
                 node.capacity.get(),
             );
@@ -330,209 +323,6 @@ fn kind_tag(kind: LevelKind) -> u8 {
         LevelKind::Ups => 1,
         LevelKind::Pdu => 2,
         LevelKind::Rack => 3,
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON subset parser (objects, arrays, strings, numbers, null).
-// Object fields keep document order; duplicate keys keep the first.
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-fn parse_err(at: usize, message: &str) -> TopologyError {
-    TopologyError::Parse {
-        at,
-        message: message.to_owned(),
-    }
-}
-
-fn json_parse(text: &str) -> Result<JsonValue, TopologyError> {
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    let v = json_value(b, &mut pos)?;
-    json_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(parse_err(pos, "trailing characters"));
-    }
-    Ok(v)
-}
-
-fn json_ws(b: &[u8], pos: &mut usize) {
-    while let Some(&c) = b.get(*pos) {
-        if matches!(c, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn json_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, TopologyError> {
-    json_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => json_object(b, pos),
-        Some(b'[') => json_array(b, pos),
-        Some(b'"') => Ok(JsonValue::Str(json_string(b, pos)?)),
-        Some(b'n') => {
-            if b.get(*pos..*pos + 4) == Some(b"null") {
-                *pos += 4;
-                Ok(JsonValue::Null)
-            } else {
-                Err(parse_err(*pos, "invalid literal"))
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => json_number(b, pos),
-        Some(_) => Err(parse_err(*pos, "unexpected character")),
-        None => Err(parse_err(*pos, "unexpected end of input")),
-    }
-}
-
-fn json_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, TopologyError> {
-    let start = *pos;
-    while let Some(&c) = b.get(*pos) {
-        if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    b.get(start..*pos)
-        .and_then(|digits| std::str::from_utf8(digits).ok())
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Num)
-        .ok_or_else(|| parse_err(start, "invalid number"))
-}
-
-fn json_string(b: &[u8], pos: &mut usize) -> Result<String, TopologyError> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| parse_err(*pos, "invalid \\u escape"))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(parse_err(*pos, "invalid escape")),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                let ch_len = match c {
-                    0xf0..=0xf7 => 4,
-                    0xe0..=0xef => 3,
-                    0xc0..=0xdf => 2,
-                    _ => 1,
-                };
-                let slice = b
-                    .get(*pos..*pos + ch_len)
-                    .ok_or_else(|| parse_err(*pos, "truncated UTF-8"))?;
-                let s = std::str::from_utf8(slice)
-                    .map_err(|_| parse_err(*pos, "invalid UTF-8 in string"))?;
-                out.push_str(s);
-                *pos += ch_len;
-            }
-            None => return Err(parse_err(*pos, "unterminated string")),
-        }
-    }
-}
-
-fn json_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, TopologyError> {
-    *pos += 1; // opening bracket
-    let mut items = Vec::new();
-    json_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(json_value(b, pos)?);
-        json_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(parse_err(*pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn json_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, TopologyError> {
-    *pos += 1; // opening brace
-    let mut fields: Vec<(String, JsonValue)> = Vec::new();
-    json_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(fields));
-    }
-    loop {
-        json_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(parse_err(*pos, "expected object key"));
-        }
-        let key = json_string(b, pos)?;
-        json_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(parse_err(*pos, "expected ':'"));
-        }
-        *pos += 1;
-        let value = json_value(b, pos)?;
-        if !fields.iter().any(|(k, _)| *k == key) {
-            fields.push((key, value));
-        }
-        json_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            _ => return Err(parse_err(*pos, "expected ',' or '}'")),
-        }
     }
 }
 
@@ -577,6 +367,20 @@ mod tests {
         assert_eq!(round.fingerprint(), spec.fingerprint());
         let double = TopologySpec::parse(&round.to_json()).unwrap();
         assert_eq!(double.to_json(), spec.to_json());
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_first_value() {
+        let doc = r#"{"name": "first", "nodes": [
+          {"name": "a", "kind": "ats", "capacity_w": 10.0, "capacity_w": 99.0, "parent": null},
+          {"name": "b", "kind": "ups", "capacity_w": 5.0, "parent": 0},
+          {"name": "c", "kind": "pdu", "capacity_w": 5.0, "parent": 1},
+          {"name": "r", "kind": "rack", "kind": "ats", "capacity_w": 5.0, "parent": 2}
+        ], "name": "second"}"#;
+        let spec = TopologySpec::parse(doc).unwrap();
+        assert_eq!(spec.name, "first");
+        assert_eq!(spec.root_capacity(), Watts::new(10.0));
+        assert_eq!(spec.rack_ids(), vec![3]);
     }
 
     #[test]

@@ -33,9 +33,10 @@ use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use mpr_core::{ChainLevel, Watts};
+use mpr_core::codec::{fnv1a64, Dec, DecodeError, Enc};
+use mpr_core::{ChainLevel, SplitMix64, Watts};
 use mpr_power::telemetry::{
-    EstimatorConfig, FaultySensor, RobustEstimator, SensorFaultConfig, SensorReading, SplitMix64,
+    EstimatorConfig, FaultySensor, RobustEstimator, SensorFaultConfig, SensorReading,
     TelemetryHealth,
 };
 use mpr_power::{ControllerState, EmergencyConfig, EmergencyController, EmergencyPhase};
@@ -115,6 +116,15 @@ impl std::error::Error for CheckpointError {
     }
 }
 
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => CheckpointError::Truncated,
+            DecodeError::Malformed(what) => CheckpointError::Malformed(what),
+        }
+    }
+}
+
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
@@ -188,149 +198,6 @@ impl RunOutcome {
             RunOutcome::Completed(r) => Some(r),
             RunOutcome::Killed { .. } => None,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a and the little-endian codec.
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| CheckpointError::Truncated)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-    fn u128(&mut self) -> Result<u128, CheckpointError> {
-        Ok(u128::from_le_bytes(self.array()?))
-    }
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        usize::try_from(self.u64()?).map_err(|_| CheckpointError::Malformed("count overflow"))
-    }
-    /// A length that is about to drive an allocation: bounded by the
-    /// remaining payload so corrupt counts cannot trigger huge allocs.
-    fn len(&mut self) -> Result<usize, CheckpointError> {
-        let n = self.usize()?;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n)
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("invalid bool tag")),
-        }
-    }
-    fn string(&mut self) -> Result<String, CheckpointError> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| CheckpointError::Malformed("invalid UTF-8 string"))
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            _ => Err(CheckpointError::Malformed("invalid option tag")),
-        }
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
     }
 }
 
@@ -526,7 +393,7 @@ pub(crate) fn fingerprint(sim: &Simulation<'_>) -> u64 {
         e.f64(j.runtime_secs);
         e.u64(u64::from(j.cores));
     }
-    fnv1a64(&e.buf)
+    fnv1a64(e.as_bytes())
 }
 
 fn enc_sensor_config(e: &mut Enc, c: &SensorFaultConfig) {
@@ -572,7 +439,7 @@ pub(crate) fn encode_state(state: &EngineState) -> Vec<u8> {
     e.bool(state.finished);
 
     // Job-stream RNG: exact stream position.
-    e.buf.extend_from_slice(&state.rng.get_seed());
+    e.raw(&state.rng.get_seed());
     e.u64(state.rng.get_stream());
     e.u128(state.rng.get_word_pos());
 
@@ -755,7 +622,7 @@ pub(crate) fn encode_state(state: &EngineState) -> Vec<u8> {
         None => e.u8(0),
     }
 
-    e.buf
+    e.into_bytes()
 }
 
 fn dec_sensor_config(d: &mut Dec<'_>) -> Result<SensorFaultConfig, CheckpointError> {
@@ -823,7 +690,7 @@ pub(crate) fn decode_state(
         active_target: Watts::new(d.f64()?),
     });
 
-    let n_active = d.len()?;
+    let n_active = d.count()?;
     let mut active = Vec::with_capacity(n_active);
     let mut bids = BidMemo::default();
     for _ in 0..n_active {
@@ -846,7 +713,7 @@ pub(crate) fn decode_state(
         job.affected = d.bool()?;
         active.push(job);
     }
-    let n_deferred = d.len()?;
+    let n_deferred = d.count()?;
     let mut deferred = VecDeque::with_capacity(n_deferred);
     for _ in 0..n_deferred {
         let idx = d.usize()?;
@@ -904,7 +771,7 @@ pub(crate) fn decode_state(
         messages_dropped: d.usize()?,
         messages_duplicated: d.usize()?,
     };
-    let n_profiles = d.len()?;
+    let n_profiles = d.count()?;
     for _ in 0..n_profiles {
         let name = d.string()?;
         let stats = ProfileStats {
@@ -915,7 +782,7 @@ pub(crate) fn decode_state(
         };
         acc.per_profile.insert(name, stats);
     }
-    let n_stretch = d.len()?;
+    let n_stretch = d.count()?;
     for _ in 0..n_stretch {
         let name = d.string()?;
         let sum = d.f64()?;
@@ -935,7 +802,7 @@ pub(crate) fn decode_state(
     acc.federated.dead_cleared_watts = d.f64()?;
     acc.federated.derate_excess_watts = d.f64()?;
     acc.federated.post_repair_events = d.usize()?;
-    let n_levels = d.len()?;
+    let n_levels = d.count()?;
     for _ in 0..n_levels {
         let name = d.string()?;
         let level = crate::report::FederatedLevelStats {
@@ -962,7 +829,7 @@ pub(crate) fn decode_state(
         _ => return Err(CheckpointError::Malformed("invalid timeline tag")),
     };
 
-    let n_events = d.len()?;
+    let n_events = d.count()?;
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         let t_secs = d.f64()?;
@@ -985,7 +852,7 @@ pub(crate) fn decode_state(
         1 => {
             let config = dec_sensor_config(&mut d)?;
             let rng_state = d.u64()?;
-            let n_buf = d.len()?;
+            let n_buf = d.count()?;
             let mut delay_buf = VecDeque::with_capacity(n_buf);
             for _ in 0..n_buf {
                 delay_buf.push_back(dec_reading(&mut d)?);
@@ -1023,9 +890,7 @@ pub(crate) fn decode_state(
         _ => return Err(CheckpointError::Malformed("invalid telemetry tag")),
     };
 
-    if d.pos != payload.len() {
-        return Err(CheckpointError::Malformed("trailing bytes"));
-    }
+    d.finish()?;
 
     // The lazy-progress and draw caches are derived: rebuild them.
     let mut state = EngineState {
@@ -1065,23 +930,15 @@ pub(crate) fn write_checkpoint(
     state: &EngineState,
 ) -> Result<(), CheckpointError> {
     let payload = encode_state(state);
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&fingerprint(sim).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    mpr_durable::fsio::atomic_replace(path, &bytes)?;
+    let mut e = Enc::with_capacity(HEADER_LEN + payload.len());
+    e.raw(&MAGIC);
+    e.u32(VERSION);
+    e.u64(fingerprint(sim));
+    e.usize(payload.len());
+    e.u64(fnv1a64(&payload));
+    e.raw(&payload);
+    mpr_durable::fsio::atomic_replace(path, e.as_bytes())?;
     Ok(())
-}
-
-/// A fixed-width little-endian header field at byte offset `at`.
-fn header_field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], CheckpointError> {
-    bytes
-        .get(at..at.saturating_add(N))
-        .and_then(|s| s.try_into().ok())
-        .ok_or(CheckpointError::Truncated)
 }
 
 /// Reads, validates and decodes a checkpoint into a ready-to-run
@@ -1103,13 +960,15 @@ pub(crate) fn read_checkpoint(
     if !magic_ok {
         return Err(CheckpointError::BadMagic);
     }
-    let version = u32::from_le_bytes(header_field(&bytes, 8)?);
+    let mut header = Dec::new(&bytes);
+    header.array::<8>()?;
+    let version = header.u32()?;
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let fprint = u64::from_le_bytes(header_field(&bytes, 12)?);
-    let payload_len = u64::from_le_bytes(header_field(&bytes, 20)?);
-    let checksum = u64::from_le_bytes(header_field(&bytes, 28)?);
+    let fprint = header.u64()?;
+    let payload_len = header.u64()?;
+    let checksum = header.u64()?;
     let payload = bytes.get(HEADER_LEN..).ok_or(CheckpointError::Truncated)?;
     if payload.len() as u64 != payload_len {
         return Err(CheckpointError::Truncated);

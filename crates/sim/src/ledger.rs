@@ -45,6 +45,7 @@
 
 use std::fmt;
 
+use mpr_core::codec::{Dec, DecodeError, Enc};
 use mpr_core::{CoreHours, PaymentKey, PaymentLog};
 use mpr_durable::wal::{
     encode_segment_header, BODY_PREFIX_LEN, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
@@ -143,144 +144,91 @@ pub enum LedgerEvent {
     },
 }
 
-// Little-endian payload codec, the same byte conventions as the checkpoint
-// format. Payloads are fixed-layout per kind; decode is total (no panics)
-// and rejects trailing bytes.
-struct PayloadEnc {
-    buf: Vec<u8>,
-}
-
-impl PayloadEnc {
-    fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(33),
-        }
-    }
-    fn u8(mut self, v: u8) -> Self {
-        self.buf.push(v);
-        self
-    }
-    fn u64(mut self, v: u64) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-    fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-}
-
-struct PayloadDec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> PayloadDec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, at: 0 }
-    }
-    fn u8(&mut self) -> Option<u8> {
-        let v = self.buf.get(self.at).copied()?;
-        self.at += 1;
-        Some(v)
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let raw: [u8; 8] = self.buf.get(self.at..self.at + 8)?.try_into().ok()?;
-        self.at += 8;
-        Some(u64::from_le_bytes(raw))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
-
 impl LedgerEvent {
-    /// Encodes the event as a `(kind, payload)` WAL record body.
+    /// Encodes the event as a `(kind, payload)` WAL record body. Payloads
+    /// are fixed-layout per kind, in the shared little-endian record codec
+    /// ([`mpr_core::codec`]).
     #[must_use]
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
+        let mut e = Enc::with_capacity(33);
+        let record_kind = match self {
             LedgerEvent::PriceAnnounce {
                 t_secs,
                 target_watts,
                 price,
-            } => (
-                kind::PRICE_ANNOUNCE,
-                PayloadEnc::new()
-                    .f64(*t_secs)
-                    .f64(*target_watts)
-                    .f64(*price)
-                    .buf,
-            ),
+            } => {
+                e.f64(*t_secs);
+                e.f64(*target_watts);
+                e.f64(*price);
+                kind::PRICE_ANNOUNCE
+            }
             LedgerEvent::BidArrival {
                 participant,
                 reduction,
                 price,
-            } => (
-                kind::BID_ARRIVAL,
-                PayloadEnc::new()
-                    .u64(*participant)
-                    .f64(*reduction)
-                    .f64(*price)
-                    .buf,
-            ),
+            } => {
+                e.u64(*participant);
+                e.f64(*reduction);
+                e.f64(*price);
+                kind::BID_ARRIVAL
+            }
             LedgerEvent::Clearing {
                 kind: k,
                 target_watts,
                 delivered_watts,
                 degraded,
-            } => (
-                kind::CLEARING,
-                PayloadEnc::new()
-                    .u8(*k)
-                    .f64(*target_watts)
-                    .f64(*delivered_watts)
-                    .u8(u8::from(*degraded))
-                    .buf,
-            ),
+            } => {
+                e.u8(*k);
+                e.f64(*target_watts);
+                e.f64(*delivered_watts);
+                e.bool(*degraded);
+                kind::CLEARING
+            }
             LedgerEvent::Payment {
                 participant,
                 price,
                 reduction,
                 amount_core_hours,
-            } => (
-                kind::PAYMENT,
-                PayloadEnc::new()
-                    .u64(*participant)
-                    .f64(*price)
-                    .f64(*reduction)
-                    .f64(*amount_core_hours)
-                    .buf,
-            ),
+            } => {
+                e.u64(*participant);
+                e.f64(*price);
+                e.f64(*reduction);
+                e.f64(*amount_core_hours);
+                kind::PAYMENT
+            }
             LedgerEvent::Emergency {
                 kind: k,
                 t_secs,
                 target_watts,
                 price,
-            } => (
-                kind::EMERGENCY,
-                PayloadEnc::new()
-                    .u8(*k)
-                    .f64(*t_secs)
-                    .f64(*target_watts)
-                    .f64(*price)
-                    .buf,
-            ),
+            } => {
+                e.u8(*k);
+                e.f64(*t_secs);
+                e.f64(*target_watts);
+                e.f64(*price);
+                kind::EMERGENCY
+            }
             LedgerEvent::Quarantine { participants } => {
-                (kind::QUARANTINE, PayloadEnc::new().u64(*participants).buf)
+                e.u64(*participants);
+                kind::QUARANTINE
             }
             LedgerEvent::SlotCommit { slot } => {
-                (kind::SLOT_COMMIT, PayloadEnc::new().u64(*slot).buf)
+                e.u64(*slot);
+                kind::SLOT_COMMIT
             }
-        }
+        };
+        (record_kind, e.into_bytes())
     }
 
     /// Decodes a WAL record body back into an event. `None` on unknown
-    /// kind or malformed payload.
+    /// kind or malformed payload: a short payload, trailing bytes, or a
+    /// `degraded` tag other than 0 or 1.
     #[must_use]
     pub fn decode(record_kind: u8, payload: &[u8]) -> Option<Self> {
-        let mut d = PayloadDec::new(payload);
+        Self::try_decode(record_kind, Dec::new(payload)).ok()
+    }
+
+    fn try_decode(record_kind: u8, mut d: Dec<'_>) -> Result<Self, DecodeError> {
         let event = match record_kind {
             kind::PRICE_ANNOUNCE => LedgerEvent::PriceAnnounce {
                 t_secs: d.f64()?,
@@ -296,7 +244,7 @@ impl LedgerEvent {
                 kind: d.u8()?,
                 target_watts: d.f64()?,
                 delivered_watts: d.f64()?,
-                degraded: d.u8()? != 0,
+                degraded: d.bool()?,
             },
             kind::PAYMENT => LedgerEvent::Payment {
                 participant: d.u64()?,
@@ -314,9 +262,10 @@ impl LedgerEvent {
                 participants: d.u64()?,
             },
             kind::SLOT_COMMIT => LedgerEvent::SlotCommit { slot: d.u64()? },
-            _ => return None,
+            _ => return Err(DecodeError::Malformed("unknown record kind")),
         };
-        d.done().then_some(event)
+        d.finish()?;
+        Ok(event)
     }
 
     /// One-line human rendering for `mpr ledger dump`.
@@ -922,6 +871,16 @@ mod tests {
         assert_eq!(LedgerEvent::decode(k, &payload), None, "trailing byte");
         assert_eq!(LedgerEvent::decode(250, &[]), None, "unknown kind");
         assert_eq!(LedgerEvent::decode(kind::PAYMENT, &[1, 2]), None, "short");
+        let degraded = LedgerEvent::Clearing {
+            kind: 0,
+            target_watts: 1.0,
+            delivered_watts: 1.0,
+            degraded: true,
+        };
+        let (k, mut payload) = degraded.encode();
+        assert_eq!(LedgerEvent::decode(k, &payload), Some(degraded));
+        *payload.last_mut().expect("degraded tag") = 2;
+        assert_eq!(LedgerEvent::decode(k, &payload), None, "degraded tag 2");
     }
 
     #[test]
