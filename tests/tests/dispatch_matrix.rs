@@ -41,6 +41,21 @@ fn lossy_net() -> NetPlan {
     }
 }
 
+/// ATS transfers, PDU trips and gradual derating ramps, with no UPS
+/// outage, inside the one-day trace.
+fn mixed_grid_faults() -> GridFaultPlan {
+    GridFaultPlan {
+        ats_derate_prob: 1.0,
+        ats_derate_frac: 0.6,
+        pdu_trip_prob: 0.5,
+        derate_prob: 0.6,
+        derate_floor: 0.6,
+        window_secs: 43_200.0,
+        repair_secs: 14_400.0,
+        ..GridFaultPlan::default()
+    }
+}
+
 fn tree() -> TopologySpec {
     TopologySpec::parse(include_str!("../../examples/tree.json")).expect("example tree parses")
 }
@@ -107,6 +122,26 @@ fn configs(family: &str) -> Vec<(String, SimConfig)> {
         .concat(),
         "mpr-int" => flat(Algorithm::MprInt),
         "mpr-int-federated" => federated("mpr-int", Algorithm::MprInt),
+        // Price-free federated clears under UPS outages, and an MPR-STAT
+        // federated run whose plan mixes ATS derates, PDU trips and
+        // gradual derating ramps.
+        "federated-grid" => {
+            let grid = |alg| {
+                SimConfig::new(alg, 15.0)
+                    .with_topology(tree())
+                    .with_grid_faults(GridFaultPlan::ups_outage(0.5))
+            };
+            vec![
+                ("eql/federated+grid".to_owned(), grid(Algorithm::Eql)),
+                ("opt/federated+grid".to_owned(), grid(Algorithm::Opt)),
+                (
+                    "mpr-stat/federated+grid-mix".to_owned(),
+                    SimConfig::new(Algorithm::MprStat, 15.0)
+                        .with_topology(tree())
+                        .with_grid_faults(mixed_grid_faults()),
+                ),
+            ]
+        }
         "mpr-stat-bidders" => bidders("mpr-stat", Algorithm::MprStat),
         "mpr-int-bidders" => bidders("mpr-int", Algorithm::MprInt),
         "vcg" => flat(Algorithm::Vcg),
@@ -140,7 +175,9 @@ fn configs(family: &str) -> Vec<(String, SimConfig)> {
 /// algorithm × plan rows), before the admission bid memo (the α-spread,
 /// cost-noise and participation rows), before the per-job rate cache
 /// (the recorded-timeline, phased-power rows) and before the slot draw
-/// cache and lazy full-speed progress (the 45.5 s slot rows).
+/// cache and lazy full-speed progress (the 45.5 s slot rows) and before
+/// the compiled grid-fault plan and positional row mapping (the EQL and
+/// OPT federated+grid rows and the mixed-plan MPR-STAT row).
 const PINNED: &[(&str, u64)] = &[
     ("opt/none", 0x12b4e8b9065ac7b6),
     ("opt/faults", 0x12b4e8b9065ac7b6),
@@ -166,6 +203,9 @@ const PINNED: &[(&str, u64)] = &[
     ("mpr-stat/federated+grid", 0x251df45d03bcd4c8),
     ("mpr-int/federated", 0x37514b03fb3f2b51),
     ("mpr-int/federated+grid", 0xa2e2f9e57f2c06af),
+    ("eql/federated+grid", 0xafb80940dcc6becf),
+    ("opt/federated+grid", 0x00b11841a0ca269f),
+    ("mpr-stat/federated+grid-mix", 0x1e4c58e7a5641e01),
     ("mpr-stat/alpha-spread", 0x01dcfcd09aac0d63),
     ("mpr-stat/noise-random", 0x9bf74d59f53d5b82),
     ("mpr-stat/noise-under", 0x5bae8b7b3d3ae783),
@@ -234,6 +274,11 @@ fn mpr_int_reports_match_the_pinned_hashes() {
 #[test]
 fn federated_mpr_int_reports_match_the_pinned_hashes() {
     check("mpr-int-federated");
+}
+
+#[test]
+fn federated_grid_reports_match_the_pinned_hashes() {
+    check("federated-grid");
 }
 
 #[test]
