@@ -430,16 +430,16 @@ pub fn run(cc: &CampaignConfig) -> std::io::Result<CampaignReport> {
             repro_command: None,
         };
         if let Some(dir) = &cc.artifact_dir {
-            let path = dir.join(format!("chaos-repro-{}.json", r.index));
-            let cmd = format!(
-                "cargo run -p mpr-cli --release -- chaos --replay {}",
-                path.display()
-            );
-            let text = artifact_json(cc, &failure, &cmd);
+            // The artifact names only its own file, so the same campaign
+            // writes the same bytes into any directory; the report's
+            // command carries the full path.
+            let name = format!("chaos-repro-{}.json", r.index);
+            let path = dir.join(&name);
+            let text = artifact_json(cc, &failure, &repro_command(&name));
             let mut file = std::fs::File::create(&path)?;
             file.write_all(text.as_bytes())?;
+            failure.repro_command = Some(repro_command(&path.display().to_string()));
             failure.artifact_path = Some(path);
-            failure.repro_command = Some(cmd);
         }
         failures.push(failure);
     }
@@ -451,6 +451,11 @@ pub fn run(cc: &CampaignConfig) -> std::io::Result<CampaignReport> {
         records,
         failures,
     })
+}
+
+/// The command replaying the artifact at `path`.
+fn repro_command(path: &str) -> String {
+    format!("cargo run -p mpr-cli --release -- chaos --replay {path}")
 }
 
 /// Renders one failure as a self-contained repro artifact.
@@ -714,6 +719,41 @@ mod tests {
         let outcome = replay(&plan);
         assert!(outcome.reproduced, "replay must reproduce: {outcome:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn artifacts_are_byte_identical_across_output_directories() {
+        let base = std::env::temp_dir().join(format!("mpr-chaos-dirs-{}", std::process::id()));
+        let run_into = |dir: PathBuf| {
+            run(&CampaignConfig {
+                emergency_disabled: true,
+                artifact_dir: Some(dir),
+                ..quick(2, 9)
+            })
+            .expect("artifact io")
+        };
+        let a = run_into(base.join("a"));
+        let b = run_into(base.join("elsewhere").join("b"));
+        assert!(!a.failures.is_empty());
+        assert_eq!(a.failures.len(), b.failures.len());
+        for (fa, fb) in a.failures.iter().zip(&b.failures) {
+            let read = |f: &Failure| {
+                let path = f.artifact_path.as_ref().expect("artifact written");
+                std::fs::read(path).expect("artifact readable")
+            };
+            let (bytes_a, bytes_b) = (read(fa), read(fb));
+            assert_eq!(bytes_a, bytes_b, "artifact {} differs", fa.index);
+            let text = String::from_utf8(bytes_a).expect("utf-8 artifact");
+            let name = format!("chaos-repro-{}.json", fa.index);
+            assert!(text.contains(&format!("--replay {name}\"")), "{text}");
+            // The report's command still names the full path.
+            let cmd = fb.repro_command.as_deref().expect("command recorded");
+            let path = fb.artifact_path.as_ref().expect("artifact written");
+            assert!(cmd.ends_with(&path.display().to_string()), "{cmd}");
+            let outcome = replay(&parse_artifact(&text).expect("artifact parses"));
+            assert!(outcome.reproduced, "replay must reproduce: {outcome:?}");
+        }
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

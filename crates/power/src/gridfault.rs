@@ -20,6 +20,8 @@
 //! bit-identical to the healthy spec, so post-repair clearing is ULP-exact
 //! with the never-faulted run — one of the chaos oracles' invariants.
 
+use std::borrow::Cow;
+
 use mpr_core::Watts;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -183,41 +185,52 @@ impl GridFaultPlan {
     /// infinite for never-repaired plans).
     #[must_use]
     pub fn last_repair_secs(&self, spec: &TopologySpec) -> f64 {
-        self.schedule(spec)
-            .iter()
-            .map(|f| f.end_secs)
-            .fold(0.0, f64::max)
+        last_repair(&self.schedule(spec))
     }
 
     /// The topology state this plan induces over `spec` at time `t_secs`.
     #[must_use]
     pub fn state_at<'s>(&self, spec: &'s TopologySpec, t_secs: f64) -> TopologyState<'s> {
-        let mut state = TopologyState::healthy(spec);
-        for fault in self.schedule(spec) {
-            if !fault.is_active_at(t_secs) {
-                continue;
+        state_under(&self.schedule(spec), spec, t_secs)
+    }
+}
+
+/// The instant every fault of `schedule` is repaired.
+fn last_repair(schedule: &[GridFault]) -> f64 {
+    schedule.iter().map(|f| f.end_secs).fold(0.0, f64::max)
+}
+
+/// The topology state `schedule` induces over `spec` at time `t_secs`.
+fn state_under<'s>(
+    schedule: &[GridFault],
+    spec: &'s TopologySpec,
+    t_secs: f64,
+) -> TopologyState<'s> {
+    let mut state = TopologyState::healthy(spec);
+    for fault in schedule {
+        if !fault.is_active_at(t_secs) {
+            continue;
+        }
+        match fault.kind {
+            GridFaultKind::UpsFailure | GridFaultKind::PduTrip => {
+                if let Some(a) = state.own_alive.get_mut(fault.node) {
+                    *a = false;
+                }
             }
-            match fault.kind {
-                GridFaultKind::UpsFailure | GridFaultKind::PduTrip => {
-                    if let Some(a) = state.own_alive.get_mut(fault.node) {
-                        *a = false;
-                    }
+            GridFaultKind::AtsDerate { frac } => {
+                if let Some(f) = state.factor.get_mut(fault.node) {
+                    *f *= frac;
                 }
-                GridFaultKind::AtsDerate { frac } => {
-                    if let Some(f) = state.factor.get_mut(fault.node) {
-                        *f *= frac;
-                    }
-                }
-                GridFaultKind::GradualDerate { floor } => {
-                    if let Some(f) = state.factor.get_mut(fault.node) {
-                        *f *= fault.ramp_factor(t_secs, floor);
-                    }
+            }
+            GridFaultKind::GradualDerate { floor } => {
+                if let Some(f) = state.factor.get_mut(fault.node) {
+                    *f *= fault.ramp_factor(t_secs, floor);
                 }
             }
         }
-        state.close_over_ancestors();
-        state
     }
+    state.close_over_ancestors();
+    state
 }
 
 /// One scheduled infrastructure fault.
@@ -244,12 +257,30 @@ impl GridFault {
     /// `floor` at the window's midpoint, holds there, then snaps back to
     /// 1.0 at repair.
     fn ramp_factor(&self, t_secs: f64, floor: f64) -> f64 {
+        match self.ramp_progress(t_secs) {
+            Some(progress) => 1.0 - (1.0 - floor) * progress,
+            None => floor,
+        }
+    }
+
+    /// How far the ramp has run at `t`, in `[0, 1]`; `None` for an empty
+    /// or unbounded window, which sits at its floor from onset.
+    fn ramp_progress(&self, t_secs: f64) -> Option<f64> {
         let half = (self.end_secs - self.start_secs) * 0.5;
         if half <= 0.0 || !half.is_finite() {
-            return floor;
+            return None;
         }
-        let progress = ((t_secs - self.start_secs) / half).clamp(0.0, 1.0);
-        1.0 - (1.0 - floor) * progress
+        Some(((t_secs - self.start_secs) / half).clamp(0.0, 1.0))
+    }
+
+    /// `true` when this is a gradual derating whose factor may still
+    /// change after `t`. Progress never falls as `t` grows, so a ramp
+    /// that has reached 1 at `t` holds its factor until repair.
+    fn ramps_after(&self, t_secs: f64) -> bool {
+        matches!(self.kind, GridFaultKind::GradualDerate { .. })
+            && self
+                .ramp_progress(t_secs)
+                .is_some_and(|p| p.is_nan() || p < 1.0)
     }
 }
 
@@ -270,6 +301,123 @@ pub enum GridFaultKind {
         /// Capacity fraction the ramp bottoms out at.
         floor: f64,
     },
+}
+
+/// A [`GridFaultPlan`] compiled over one spec for repeated lookups.
+///
+/// The fault state only changes at a fault's onset or repair, so the
+/// schedule is built once, every `start_secs` and `end_secs` is sorted
+/// into one list of edges, and each interval between two edges keeps
+/// the state [`GridFaultPlan::state_at`] gives at the interval's start,
+/// with its health and `capacity_frac`. A fault's end is exclusive, so a
+/// lookup exactly on an edge lands in the interval that edge opens. An
+/// interval in which a gradual derating is still ramping changes with
+/// `t` and is computed live on every lookup. Lookups are bit-identical
+/// to [`GridFaultPlan::state_at`].
+#[derive(Debug)]
+pub struct CompiledGridFaults<'s> {
+    spec: &'s TopologySpec,
+    schedule: Vec<GridFault>,
+    /// Every fault onset and repair instant, ascending, without repeats.
+    edges: Vec<f64>,
+    /// Interval `k` covers `[edges[k - 1], edges[k])`, unbounded below
+    /// for the first and above for the last; `None` while a ramp moves.
+    intervals: Vec<Option<GridSnapshot<'s>>>,
+    last_repair_secs: f64,
+}
+
+impl<'s> CompiledGridFaults<'s> {
+    /// Builds the schedule of `plan` over `spec` and caches the state of
+    /// every interval between fault edges.
+    #[must_use]
+    pub fn compile(plan: &GridFaultPlan, spec: &'s TopologySpec) -> Self {
+        let schedule = plan.schedule(spec);
+        // A NaN instant never compares true, so such an edge never moves
+        // a fault in or out of force.
+        let mut edges: Vec<f64> = schedule
+            .iter()
+            .flat_map(|f| [f.start_secs, f.end_secs])
+            .filter(|e| !e.is_nan())
+            .collect();
+        edges.sort_by(f64::total_cmp);
+        edges.dedup_by(|a, b| a == b);
+        let intervals = std::iter::once(f64::NEG_INFINITY)
+            .chain(edges.iter().copied())
+            .map(|start| {
+                let ramping = schedule
+                    .iter()
+                    .any(|f| f.is_active_at(start) && f.ramps_after(start));
+                (!ramping).then(|| GridSnapshot::new(state_under(&schedule, spec, start)))
+            })
+            .collect();
+        Self {
+            spec,
+            last_repair_secs: last_repair(&schedule),
+            schedule,
+            edges,
+            intervals,
+        }
+    }
+
+    /// The fault state at `t_secs`: borrowed from its interval, or
+    /// computed live while a ramp moves.
+    #[must_use]
+    pub fn at(&self, t_secs: f64) -> Cow<'_, GridSnapshot<'s>> {
+        let interval = self.edges.partition_point(|&e| e <= t_secs);
+        match self.intervals.get(interval) {
+            Some(Some(snapshot)) => Cow::Borrowed(snapshot),
+            _ => Cow::Owned(GridSnapshot::new(state_under(
+                &self.schedule,
+                self.spec,
+                t_secs,
+            ))),
+        }
+    }
+
+    /// The instant every fault is repaired, as
+    /// [`GridFaultPlan::last_repair_secs`] gives it.
+    #[must_use]
+    pub fn last_repair_secs(&self) -> f64 {
+        self.last_repair_secs
+    }
+}
+
+/// A [`TopologyState`] with its health and usable-capacity fraction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridSnapshot<'s> {
+    state: TopologyState<'s>,
+    healthy: bool,
+    capacity_frac: f64,
+}
+
+impl<'s> GridSnapshot<'s> {
+    /// Derives the health and capacity fraction of `state`.
+    #[must_use]
+    pub fn new(state: TopologyState<'s>) -> Self {
+        Self {
+            healthy: state.is_healthy(),
+            capacity_frac: state.capacity_frac(),
+            state,
+        }
+    }
+
+    /// The topology state.
+    #[must_use]
+    pub fn state(&self) -> &TopologyState<'s> {
+        &self.state
+    }
+
+    /// [`TopologyState::is_healthy`] of the state.
+    #[must_use]
+    pub fn is_healthy(&self) -> bool {
+        self.healthy
+    }
+
+    /// [`TopologyState::capacity_frac`] of the state.
+    #[must_use]
+    pub fn capacity_frac(&self) -> f64 {
+        self.capacity_frac
+    }
 }
 
 /// The per-instant health of a power tree: liveness and derate factors
@@ -687,6 +835,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn compiled_plan_caches_settled_intervals_and_ramps_live() {
+        let s = spec();
+        let plan = GridFaultPlan {
+            ats_derate_prob: 1.0,
+            derate_prob: 1.0,
+            ..GridFaultPlan::default()
+        };
+        let compiled = CompiledGridFaults::compile(&plan, &s);
+        assert!(compiled.edges.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(compiled.intervals.len(), compiled.edges.len() + 1);
+        let ramp = plan
+            .schedule(&s)
+            .into_iter()
+            .find(|f| matches!(f.kind, GridFaultKind::GradualDerate { .. }))
+            .unwrap();
+        let mid_ramp = ramp.start_secs + (ramp.end_secs - ramp.start_secs) * 0.25;
+        assert!(matches!(compiled.at(mid_ramp), Cow::Owned(_)));
+        let repaired = compiled.last_repair_secs();
+        assert!(matches!(compiled.at(repaired), Cow::Borrowed(_)));
+        assert!(compiled.at(repaired).is_healthy());
+        // No fault class can fire: one healthy interval, no edges.
+        let idle = CompiledGridFaults::compile(&GridFaultPlan::default(), &s);
+        assert!(idle.edges.is_empty());
+        assert!(idle.at(0.0).is_healthy());
+        assert_eq!(idle.last_repair_secs().to_bits(), 0.0f64.to_bits());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -716,8 +892,72 @@ mod tests {
                 )
         }
 
+        /// [`arb_plan`], with the repair pushed to infinity in half the
+        /// cases.
+        fn arb_plan_maybe_unrepaired() -> impl Strategy<Value = GridFaultPlan> {
+            (arb_plan(), prop::bool::ANY).prop_map(|(plan, unrepaired)| GridFaultPlan {
+                repair_secs: if unrepaired {
+                    f64::INFINITY
+                } else {
+                    plan.repair_secs
+                },
+                ..plan
+            })
+        }
+
+        /// The compiled lookup at `t` equals `state_at` bit for bit.
+        fn same_as_state_at(
+            plan: &GridFaultPlan,
+            compiled: &CompiledGridFaults<'_>,
+            s: &TopologySpec,
+            t: f64,
+        ) -> Result<(), proptest::test_runner::TestCaseError> {
+            let want = plan.state_at(s, t);
+            let got = compiled.at(t);
+            prop_assert_eq!(&got.state().alive, &want.alive, "alive at {}", t);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&got.state().factor),
+                bits(&want.factor),
+                "factors at {}",
+                t
+            );
+            prop_assert_eq!(got.is_healthy(), want.is_healthy(), "health at {}", t);
+            prop_assert_eq!(
+                got.capacity_frac().to_bits(),
+                want.capacity_frac().to_bits(),
+                "capacity_frac at {}",
+                t
+            );
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The compiled plan equals `state_at` on every edge, one ulp
+            /// either side of it, one 60 s slot after it and at random
+            /// instants, and it keeps the same last repair instant.
+            #[test]
+            fn compiled_lookup_equals_state_at_bit_for_bit(
+                plan in arb_plan_maybe_unrepaired(),
+                ts in prop::collection::vec(0.0f64..25_000.0, 16),
+            ) {
+                let s = spec();
+                let compiled = CompiledGridFaults::compile(&plan, &s);
+                prop_assert_eq!(
+                    compiled.last_repair_secs().to_bits(),
+                    plan.last_repair_secs(&s).to_bits()
+                );
+                for &edge in &compiled.edges {
+                    for t in [edge, edge.next_down(), edge.next_up(), edge + 60.0] {
+                        same_as_state_at(&plan, &compiled, &s, t)?;
+                    }
+                }
+                for t in ts {
+                    same_as_state_at(&plan, &compiled, &s, t)?;
+                }
+            }
 
             /// Satellite invariant (a): under any fault plan at any instant,
             /// every node's derated capacity stays within its spec capacity,

@@ -49,7 +49,9 @@ pub use emergency::{
 };
 pub use error::PowerError;
 pub use federated::{FederatedError, FederatedOutcome, HierarchicalMarket, LevelReport};
-pub use gridfault::{GridFault, GridFaultKind, GridFaultPlan, TopologyState};
+pub use gridfault::{
+    CompiledGridFaults, GridFault, GridFaultKind, GridFaultPlan, GridSnapshot, TopologyState,
+};
 pub use hierarchy::{HierarchyError, LevelKind, PowerHierarchy};
 pub use model::PowerModel;
 pub use oversubscription::Oversubscription;

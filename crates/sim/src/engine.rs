@@ -10,6 +10,7 @@
 //! [`resume`](Simulation::resume) that restores a checkpoint and
 //! continues to a `SimReport` bit-identical to the uninterrupted run.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
@@ -24,8 +25,8 @@ use mpr_core::{
 };
 use mpr_power::telemetry::{FaultySensor, PowerSensor, RobustEstimator};
 use mpr_power::{
-    EmergencyAction, EmergencyConfig, EmergencyController, HierarchicalMarket, Oversubscription,
-    TopologySpec, TopologyState,
+    CompiledGridFaults, EmergencyAction, EmergencyConfig, EmergencyController, GridSnapshot,
+    HierarchicalMarket, Oversubscription, TopologySpec, TopologyState,
 };
 use mpr_workload::Trace;
 use rand::{Rng, SeedableRng};
@@ -283,7 +284,7 @@ pub(crate) struct Accounting {
 }
 
 /// Immutable per-run context derived from the trace and configuration.
-pub(crate) struct RunSetup {
+pub(crate) struct RunSetup<'a> {
     pub(crate) slot: f64,
     pub(crate) slot_h: f64,
     pub(crate) static_w: f64,
@@ -292,6 +293,9 @@ pub(crate) struct RunSetup {
     /// Each trace job's profile, as an index into [`SimConfig::profiles`].
     pub(crate) profiles: Vec<usize>,
     pub(crate) horizon_slots: usize,
+    /// The active grid-fault plan compiled over the topology; derived
+    /// data, rebuilt on resume.
+    pub(crate) grid: Option<CompiledGridFaults<'a>>,
 }
 
 /// The cost models and cooperative static bids built at job admission,
@@ -504,7 +508,7 @@ impl<'a> Simulation<'a> {
     /// A trace job's profile index and profile, if the job exists.
     pub(crate) fn job_profile(
         &self,
-        setup: &RunSetup,
+        setup: &RunSetup<'_>,
         job: usize,
     ) -> Option<(usize, &Arc<AppProfile>)> {
         let k = *setup.profiles.get(job)?;
@@ -512,7 +516,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Builds the immutable per-run context.
-    pub(crate) fn setup(&self) -> RunSetup {
+    pub(crate) fn setup(&self) -> RunSetup<'_> {
         let cfg = &self.config;
         let slot = cfg.slot_secs;
         let profiles = self.assign_profiles();
@@ -531,11 +535,15 @@ impl<'a> Simulation<'a> {
             profiles,
             horizon_slots: ((self.trace.span_secs() / slot).ceil() as usize).saturating_mul(2)
                 + 1440,
+            grid: cfg
+                .active_grid_fault()
+                .zip(cfg.topology.as_ref())
+                .map(|(plan, spec)| CompiledGridFaults::compile(&plan, spec)),
         }
     }
 
     /// The engine state at slot zero.
-    pub(crate) fn initial_state(&self, setup: &RunSetup) -> EngineState {
+    pub(crate) fn initial_state(&self, setup: &RunSetup<'_>) -> EngineState {
         let cfg = &self.config;
         EngineState {
             step: 0,
@@ -634,7 +642,7 @@ impl<'a> Simulation<'a> {
 
     fn drive(
         &self,
-        setup: &RunSetup,
+        setup: &RunSetup<'_>,
         mut state: EngineState,
         plan: &CheckpointPlan,
     ) -> Result<RunOutcome, CheckpointError> {
@@ -657,7 +665,7 @@ impl<'a> Simulation<'a> {
 
     /// Simulates one slot: admissions, power measurement and the emergency
     /// controller, overload accounting, job progress.
-    fn step_slot(&self, setup: &RunSetup, state: &mut EngineState) {
+    fn step_slot(&self, setup: &RunSetup<'_>, state: &mut EngineState) {
         self.step_slot_journaled(setup, state, None);
     }
 
@@ -671,7 +679,7 @@ impl<'a> Simulation<'a> {
     #[allow(clippy::too_many_lines)]
     pub(crate) fn step_slot_journaled(
         &self,
-        setup: &RunSetup,
+        setup: &RunSetup<'_>,
         state: &mut EngineState,
         mut journal: Option<&mut Vec<LedgerEvent>>,
     ) {
@@ -687,18 +695,14 @@ impl<'a> Simulation<'a> {
             p.capacity_at(t).get().min(setup.capacity_w)
         });
         // Infrastructure faults shrink the usable tree: derate the flat
-        // budget by the faulted min-cut fraction. The state is a pure
-        // function of (plan, topology, t) — exactly 1.0 while healthy, so
-        // fault-free slots (and whole fault-free runs) stay bit-identical.
-        let capacity_now = match (cfg.active_grid_fault(), cfg.topology.as_ref()) {
-            (Some(plan), Some(spec)) => {
-                let grid = plan.state_at(spec, t);
-                if grid.is_healthy() {
-                    capacity_now
-                } else {
-                    state.acc.federated.grid_fault_slots += 1;
-                    capacity_now * grid.capacity_frac()
-                }
+        // budget by the faulted min-cut fraction, looked up in the plan
+        // compiled once per run. The state is a pure function of (plan,
+        // topology, t) — exactly 1.0 while healthy, so fault-free slots
+        // (and whole fault-free runs) stay bit-identical.
+        let capacity_now = match setup.grid.as_ref().map(|grid| grid.at(t)) {
+            Some(grid) if !grid.is_healthy() => {
+                state.acc.federated.grid_fault_slots += 1;
+                capacity_now * grid.capacity_frac()
             }
             _ => capacity_now,
         };
@@ -791,7 +795,7 @@ impl<'a> Simulation<'a> {
                 let quarantined_before = state.acc.degradation.participants_quarantined;
                 let target = state.controller.active_target().get();
                 let (delivered, degraded) =
-                    self.apply_algorithm(&mut state.active, target, t, &mut state.acc);
+                    self.apply_algorithm(setup, &mut state.active, target, t, &mut state.acc);
                 state.controller.record_delivered(Watts::new(delivered));
                 if degraded {
                     state.controller.mark_degraded();
@@ -1101,11 +1105,11 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// The market instance for one overload event. Market algorithms see
-    /// only the participating jobs (rows carry bids and/or perceived-cost
-    /// models); the OPT and EQL benchmarks see every active job with its
-    /// ground-truth cost.
-    fn build_instance(&self, active: &[ActiveJob]) -> MarketInstance {
+    /// The market instance for one overload event, with the `active`
+    /// position of each row. Market algorithms see only the participating
+    /// jobs (rows carry bids and/or perceived-cost models); the OPT and
+    /// EQL benchmarks see every active job with its ground-truth cost.
+    fn build_instance(&self, active: &[ActiveJob]) -> (MarketInstance, Vec<usize>) {
         let row = |j: &ActiveJob, delta: f64| {
             ParticipantSpec::new(
                 j.idx as u64,
@@ -1114,32 +1118,24 @@ impl<'a> Simulation<'a> {
             )
         };
         match self.config.algorithm {
-            Algorithm::MprStat => active
-                .iter()
-                .filter(|j| j.participates)
-                .filter_map(|j| {
-                    let supply = j.static_supply?;
-                    Some(row(j, supply.delta_max()).with_bid(supply.bid()))
-                })
-                .collect(),
-            Algorithm::MprInt => active
-                .iter()
-                .filter(|j| j.participates)
-                .map(|j| row(j, j.perceived.delta_max()).with_cost(j.perceived.clone()))
-                .collect(),
-            Algorithm::Vcg => active
-                .iter()
-                .filter(|j| j.participates)
-                .map(|j| row(j, j.true_cost.delta_max()).with_cost(j.true_cost.clone()))
-                .collect(),
-            Algorithm::Opt => active
-                .iter()
-                .map(|j| row(j, j.true_cost.delta_max()).with_cost(j.true_cost.clone()))
-                .collect(),
-            Algorithm::Eql => active
-                .iter()
-                .map(|j| row(j, j.true_cost.delta_max()).with_cores(j.cores))
-                .collect(),
+            Algorithm::MprStat => rows_of(active, |j| {
+                let supply = j.static_supply.filter(|_| j.participates)?;
+                Some(row(j, supply.delta_max()).with_bid(supply.bid()))
+            }),
+            Algorithm::MprInt => rows_of(active, |j| {
+                j.participates
+                    .then(|| row(j, j.perceived.delta_max()).with_cost(j.perceived.clone()))
+            }),
+            Algorithm::Vcg => rows_of(active, |j| {
+                j.participates
+                    .then(|| row(j, j.true_cost.delta_max()).with_cost(j.true_cost.clone()))
+            }),
+            Algorithm::Opt => rows_of(active, |j| {
+                Some(row(j, j.true_cost.delta_max()).with_cost(j.true_cost.clone()))
+            }),
+            Algorithm::Eql => rows_of(active, |j| {
+                Some(row(j, j.true_cost.delta_max()).with_cores(j.cores))
+            }),
         }
     }
 
@@ -1153,6 +1149,7 @@ impl<'a> Simulation<'a> {
     /// jobs form the instance and how the clearing maps back onto them.
     fn apply_algorithm(
         &self,
+        setup: &RunSetup<'_>,
         active: &mut [ActiveJob],
         target_w: f64,
         t_secs: f64,
@@ -1172,11 +1169,11 @@ impl<'a> Simulation<'a> {
             return self.apply_int_chain(active, target_w, acc, level0, event_seed);
         }
         if self.config.is_federated() {
-            if let Some(spec) = self.config.topology.clone() {
-                return self.apply_federated(active, target_w, t_secs, acc, &spec);
+            if let Some(spec) = self.config.topology.as_ref() {
+                return self.apply_federated(setup, active, target_w, t_secs, acc, spec);
             }
         }
-        let instance = self.build_instance(active);
+        let (instance, rows) = self.build_instance(active);
         let mut mechanism = crate::mechanism::for_algorithm(&self.config);
         let clearing = match mechanism.clear(&instance, Watts::new(target_w)) {
             Ok(clearing) => clearing,
@@ -1184,17 +1181,18 @@ impl<'a> Simulation<'a> {
             // or a solver failure: nothing clears, reductions stand.
             Err(_) => return (0.0, false),
         };
-        self.apply_clearing(active, &instance, &clearing, acc)
+        self.apply_clearing(active, &rows, &clearing, acc)
     }
 
     /// Maps a clearing back onto the active jobs according to the
-    /// configured algorithm's price discipline. Shared by the flat path
-    /// and the federated path (whose merged clearing is positional over
-    /// the same instance).
+    /// configured algorithm's price discipline; `rows` holds each clearing
+    /// row's position in `active`. Shared by the flat path and the
+    /// federated path (whose merged clearing is positional over the same
+    /// instance).
     fn apply_clearing(
         &self,
         active: &mut [ActiveJob],
-        instance: &MarketInstance,
+        rows: &[usize],
         clearing: &MechanismClearing,
         acc: &mut Accounting,
     ) -> (f64, bool) {
@@ -1202,7 +1200,7 @@ impl<'a> Simulation<'a> {
             Algorithm::MprStat => {
                 // One uniform clearing price; every job sees it,
                 // non-members shed nothing.
-                (apply_uniform(active, instance, clearing, true), false)
+                (apply_uniform(active, rows, clearing, true), false)
             }
             Algorithm::MprInt => {
                 acc.int_iterations += clearing.iterations();
@@ -1210,15 +1208,15 @@ impl<'a> Simulation<'a> {
                     // Infeasible target: members cap at Δ and are paid
                     // their break-even unit cost; non-members keep their
                     // in-force reductions.
-                    (apply_member_rows(active, instance, clearing), false)
+                    (apply_member_rows(active, rows, clearing), false)
                 } else {
-                    (apply_uniform(active, instance, clearing, true), false)
+                    (apply_uniform(active, rows, clearing, true), false)
                 }
             }
             // VCG pays per-job pivot prices, never one uniform price.
-            Algorithm::Vcg => (apply_member_rows(active, instance, clearing), false),
+            Algorithm::Vcg => (apply_member_rows(active, rows, clearing), false),
             // OPT is the offline benchmark: reductions only, no market.
-            Algorithm::Opt => (apply_uniform(active, instance, clearing, false), false),
+            Algorithm::Opt => (apply_uniform(active, rows, clearing, false), false),
             Algorithm::Eql => {
                 let d = clearing.diagnostics();
                 // Per-job Δ violations mean the uniform slowdown cannot
@@ -1228,7 +1226,7 @@ impl<'a> Simulation<'a> {
                 if !d.accepted && !d.capped_at_delta_max {
                     acc.unmet_emergencies += 1;
                 }
-                (apply_uniform(active, instance, clearing, false), false)
+                (apply_uniform(active, rows, clearing, false), false)
             }
         }
     }
@@ -1253,13 +1251,14 @@ impl<'a> Simulation<'a> {
     #[allow(clippy::too_many_lines)]
     fn apply_federated(
         &self,
+        setup: &RunSetup<'_>,
         active: &mut [ActiveJob],
         target_w: f64,
         t_secs: f64,
         acc: &mut Accounting,
         spec: &TopologySpec,
     ) -> (f64, bool) {
-        let instance = self.build_instance(active);
+        let (instance, rows) = self.build_instance(active);
         let rack_ids = spec.rack_ids();
         let Some(&first_rack) = rack_ids.first() else {
             return (0.0, false);
@@ -1269,42 +1268,34 @@ impl<'a> Simulation<'a> {
         }
         // Infrastructure state at this instant — a pure function of
         // (plan, topology, t), healthy when no plan is active.
-        let grid_plan = self.config.active_grid_fault();
-        let grid = grid_plan.as_ref().map_or_else(
-            || TopologyState::healthy(spec),
-            |plan| plan.state_at(spec, t_secs),
+        let snapshot = setup.grid.as_ref().map_or_else(
+            || Cow::Owned(GridSnapshot::new(TopologyState::healthy(spec))),
+            |grid| grid.at(t_secs),
         );
-        let faulted = !grid.is_healthy();
+        let grid = snapshot.state();
+        let faulted = !snapshot.is_healthy();
         let fencing = faulted && !self.config.grid_fencing_disabled;
         if faulted {
             acc.federated.fenced_nodes += grid.dead_count();
             acc.federated.derated_nodes += grid.derated_count();
         }
-        if let Some(plan) = grid_plan {
-            let last = plan.last_repair_secs(spec);
+        if let Some(compiled) = setup.grid.as_ref() {
+            let last = compiled.last_repair_secs();
             if last.is_finite() && t_secs >= last {
                 acc.federated.post_repair_events += 1;
             }
         }
-        // Full-speed demand of each active job, by market id.
-        let static_w = self.config.power_model.static_w_per_core();
-        let demand_by_id: BTreeMap<u64, f64> = active
-            .iter()
-            .map(|j| {
-                (
-                    j.idx as u64,
-                    j.cores * (static_w + j.profile.unit_dynamic_power_w()),
-                )
-            })
-            .collect();
         // Deterministic job → rack placement: stable across slots and
         // resume, independent of arrival order. A job whose home rack is
         // fenced fails over to the nearest surviving sibling (same PDU
-        // first, then the same UPS, widening to the whole tree).
+        // first, then the same UPS, widening to the whole tree). Each
+        // rack's load is the full-speed demand of its rows' jobs, indexed
+        // by spec node.
+        let static_w = self.config.power_model.static_w_per_core();
         let mut assignment = Vec::with_capacity(instance.len());
-        let mut rack_load: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut rack_load: Vec<Option<f64>> = vec![None; spec.nodes.len()];
         let mut quarantined = 0usize;
-        for id in instance.ids() {
+        for (id, &pos) in instance.ids().iter().zip(&rows) {
             let home = rack_ids
                 .get((*id as usize) % rack_ids.len())
                 .copied()
@@ -1324,7 +1315,12 @@ impl<'a> Simulation<'a> {
                 home
             };
             assignment.push(rack);
-            *rack_load.entry(rack).or_insert(0.0) += demand_by_id.get(id).copied().unwrap_or(0.0);
+            let demand = active.get(pos).map_or(0.0, |j| {
+                j.cores * (static_w + j.profile.unit_dynamic_power_w())
+            });
+            if let Some(load) = rack_load.get_mut(rack) {
+                *load = Some(load.unwrap_or(0.0) + demand);
+            }
         }
         if quarantined > 0 {
             // Reassignment only fails when no rack anywhere survives: the
@@ -1333,7 +1329,7 @@ impl<'a> Simulation<'a> {
             acc.federated.quarantined_jobs += quarantined;
             return (0.0, false);
         }
-        let total_load: f64 = rack_load.values().sum();
+        let total_load: f64 = rack_load.iter().flatten().sum();
         // Scale every capacity so the root's deficit equals the
         // controller's target (floored at a sliver of the load so a
         // target exceeding the whole demand still yields a valid tree).
@@ -1357,11 +1353,14 @@ impl<'a> Simulation<'a> {
         let Ok((mut hierarchy, map)) = built else {
             return (0.0, false);
         };
-        for (rack, load) in &rack_load {
-            let Some(&Some(mapped)) = map.get(*rack) else {
+        for (rack, load) in rack_load.iter().enumerate() {
+            let Some(load) = *load else {
+                continue;
+            };
+            let Some(&Some(mapped)) = map.get(rack) else {
                 return (0.0, false);
             };
-            if hierarchy.set_load(mapped, Watts::new(*load)).is_err() {
+            if hierarchy.set_load(mapped, Watts::new(load)).is_err() {
                 return (0.0, false);
             }
         }
@@ -1381,10 +1380,10 @@ impl<'a> Simulation<'a> {
                 Err(_) => return (0.0, false),
             };
         acc.federated.absorb(&outcome);
-        if grid_plan.is_some() {
+        if setup.grid.is_some() {
             self.audit_grid_invariants(
                 acc,
-                &grid,
+                grid,
                 &assignment,
                 &hier_assignment,
                 &hierarchy,
@@ -1392,7 +1391,7 @@ impl<'a> Simulation<'a> {
                 &outcome,
             );
         }
-        self.apply_clearing(active, &instance, &outcome.clearing, acc)
+        self.apply_clearing(active, &rows, &outcome.clearing, acc)
     }
 
     /// Post-clear audit of the grid-fault safety invariants, recorded in
@@ -1459,7 +1458,11 @@ impl<'a> Simulation<'a> {
     ) -> (f64, bool) {
         let mut rng = ChaCha8Rng::seed_from_u64(event_seed);
         let fault_plan = self.config.fault_plan.filter(FaultPlan::is_active);
-        for j in active.iter().filter(|j| j.participates) {
+        // The exchange's instance holds one row per registered agent, in
+        // registration order.
+        let mut rows = Vec::new();
+        for (pos, j) in active.iter().enumerate().filter(|(_, j)| j.participates) {
+            rows.push(pos);
             let inner = NetGainAgent::new(
                 j.idx as u64,
                 j.perceived.clone(),
@@ -1502,11 +1505,11 @@ impl<'a> Simulation<'a> {
             ChainLevel::EqlCapping => acc.degradation.eql_cappings += 1,
         }
         acc.degradation.observe_chain_level(level);
-        let delivered = apply_uniform(active, &instance, &clearing, true);
+        let delivered = apply_uniform(active, &rows, &clearing, true);
         (delivered, level > ChainLevel::Interactive)
     }
 
-    pub(crate) fn finish_report(&self, setup: &RunSetup, state: EngineState) -> SimReport {
+    pub(crate) fn finish_report(&self, setup: &RunSetup<'_>, state: EngineState) -> SimReport {
         let EngineState {
             total_slots,
             mut acc,
@@ -1613,26 +1616,41 @@ fn planned_agent<A: BiddingAgent + 'static>(
     }
 }
 
+/// The instance of the jobs `row` keeps, with each row's position in
+/// `active`: the rows are a subsequence of `active`, in its order.
+fn rows_of(
+    active: &[ActiveJob],
+    mut row: impl FnMut(&ActiveJob) -> Option<ParticipantSpec>,
+) -> (MarketInstance, Vec<usize>) {
+    let mut rows = Vec::new();
+    let instance = active
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, j)| {
+            let spec = row(j)?;
+            rows.push(pos);
+            Some(spec)
+        })
+        .collect();
+    (instance, rows)
+}
+
 /// Applies a clearing uniformly: every active job takes its row's reduction
 /// (zero when it has no row) and, when `set_price` is on, the one headline
 /// clearing price — matching the uniform-price markets, where non-members
-/// shed nothing but still observe the price.
+/// shed nothing but still observe the price. `rows` holds each clearing
+/// row's position in `active`, ascending.
 fn apply_uniform(
     active: &mut [ActiveJob],
-    instance: &MarketInstance,
+    rows: &[usize],
     clearing: &MechanismClearing,
     set_price: bool,
 ) -> f64 {
-    let by_id: BTreeMap<u64, f64> = instance
-        .ids()
-        .iter()
-        .zip(clearing.reductions())
-        .map(|(id, r)| (*id, *r))
-        .collect();
+    let mut by_pos = rows.iter().zip(clearing.reductions()).peekable();
     let price = clearing.price().get();
     let mut delivered = 0.0;
-    for j in active.iter_mut() {
-        let delta = by_id.get(&(j.idx as u64)).copied().unwrap_or(0.0);
+    for (pos, j) in active.iter_mut().enumerate() {
+        let delta = by_pos.next_if(|(p, _)| **p == pos).map_or(0.0, |(_, r)| *r);
         j.reduction = delta;
         if set_price {
             j.price = price;
@@ -1645,22 +1663,20 @@ fn apply_uniform(
 /// Applies a clearing's per-row reductions and per-row prices to the member
 /// jobs only — jobs outside the instance keep their in-force reductions.
 /// Used by discriminatory-price clearings (VCG payments, the capped
-/// break-even fallback).
+/// break-even fallback). `rows` holds each clearing row's position in
+/// `active`, ascending.
 fn apply_member_rows(
     active: &mut [ActiveJob],
-    instance: &MarketInstance,
+    rows: &[usize],
     clearing: &MechanismClearing,
 ) -> f64 {
-    let by_id: BTreeMap<u64, (f64, f64)> = instance
-        .ids()
+    let mut delivered = 0.0;
+    let members = rows
         .iter()
         .zip(clearing.reductions())
-        .zip(clearing.participant_prices())
-        .map(|((id, r), q)| (*id, (*r, *q)))
-        .collect();
-    let mut delivered = 0.0;
-    for j in active.iter_mut() {
-        if let Some(&(delta, price)) = by_id.get(&(j.idx as u64)) {
+        .zip(clearing.participant_prices());
+    for ((&pos, &delta), &price) in members {
+        if let Some(j) = active.get_mut(pos) {
             j.reduction = delta;
             j.price = price;
             delivered += delta * j.profile.unit_dynamic_power_w();
@@ -1773,6 +1789,134 @@ mod tests {
             }
         });
         assert!(!shared.is_empty(), "some jobs must share a memo entry");
+    }
+
+    /// Active jobs in an order unrelated to their ids: some do not
+    /// participate, some have no static bid, and some carry an in-force
+    /// reduction and price from an earlier clear.
+    fn mixed_active(sim: &Simulation<'_>, setup: &RunSetup<'_>) -> Vec<ActiveJob> {
+        let mut memo = BidMemo::default();
+        [7usize, 2, 11, 0, 5, 9, 1, 10, 3, 8, 4, 6]
+            .into_iter()
+            .filter_map(|idx| {
+                let profile = sim.job_profile(setup, idx)?;
+                let mut job = sim.rebuild_job(idx, profile, sim.config.alpha, 1.0, &mut memo);
+                job.participates = idx % 3 != 0;
+                if idx % 4 == 1 {
+                    job.static_supply = None;
+                }
+                if matches!(idx, 3 | 7) {
+                    job.reduction = 0.25 * job.cores;
+                    job.price = 0.125;
+                }
+                Some(job)
+            })
+            .collect()
+    }
+
+    /// Each job's `(reduction, price)` bits and the delivered watts after
+    /// `clearing`, mapped back by job id under `alg`'s price discipline.
+    fn id_keyed_reference(
+        alg: Algorithm,
+        active: &[ActiveJob],
+        instance: &MarketInstance,
+        clearing: &MechanismClearing,
+    ) -> (Vec<(u64, u64)>, u64) {
+        let by_id = |values: &[f64]| -> BTreeMap<u64, f64> {
+            instance
+                .ids()
+                .iter()
+                .copied()
+                .zip(values.iter().copied())
+                .collect()
+        };
+        let reductions = by_id(clearing.reductions());
+        let prices = by_id(clearing.participant_prices());
+        let members_only = match alg {
+            Algorithm::Vcg => true,
+            Algorithm::MprInt => clearing.diagnostics().capped_at_delta_max,
+            _ => false,
+        };
+        let uniform_price =
+            matches!(alg, Algorithm::MprStat | Algorithm::MprInt).then(|| clearing.price().get());
+        let mut delivered = 0.0;
+        let jobs = active
+            .iter()
+            .map(|j| {
+                let id = j.idx as u64;
+                let w = j.profile.unit_dynamic_power_w();
+                let (reduction, price) = if members_only {
+                    match (reductions.get(&id), prices.get(&id)) {
+                        (Some(&r), Some(&q)) => {
+                            delivered += r * w;
+                            (r, q)
+                        }
+                        _ => (j.reduction, j.price),
+                    }
+                } else {
+                    let r = reductions.get(&id).copied().unwrap_or(0.0);
+                    delivered += r * w;
+                    (r, uniform_price.unwrap_or(j.price))
+                };
+                (reduction.to_bits(), price.to_bits())
+            })
+            .collect();
+        (jobs, delivered.to_bits())
+    }
+
+    #[test]
+    fn positional_rows_apply_as_an_id_keyed_reference_for_every_algorithm() {
+        let trace = small_trace();
+        let mut capped_int = false;
+        for alg in [
+            Algorithm::Opt,
+            Algorithm::Eql,
+            Algorithm::MprStat,
+            Algorithm::MprInt,
+            Algorithm::Vcg,
+        ] {
+            let sim = Simulation::new(&trace, SimConfig::new(alg, 15.0));
+            let setup = sim.setup();
+            let mut compared = 0;
+            // A reachable target, and one past every job's Δ (MPR-INT's
+            // capped branch).
+            for target in [400.0, 1e9] {
+                let mut active = mixed_active(&sim, &setup);
+                assert_eq!(active.len(), 12);
+                assert!(active.iter().any(|j| !j.participates));
+                assert!(active
+                    .iter()
+                    .any(|j| j.participates && j.static_supply.is_none()));
+                let (instance, rows) = sim.build_instance(&active);
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "{alg}");
+                let Ok(clearing) = crate::mechanism::for_algorithm(&sim.config)
+                    .clear(&instance, Watts::new(target))
+                else {
+                    continue;
+                };
+                if alg == Algorithm::MprInt && clearing.diagnostics().capped_at_delta_max {
+                    capped_int = true;
+                }
+                let (want, want_delivered) = id_keyed_reference(alg, &active, &instance, &clearing);
+                let (delivered, _) = sim.apply_algorithm(
+                    &setup,
+                    &mut active,
+                    target,
+                    0.0,
+                    &mut Accounting::default(),
+                );
+                let got: Vec<_> = active
+                    .iter()
+                    .map(|j| (j.reduction.to_bits(), j.price.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{alg} at {target} W");
+                assert!(got.iter().any(|&(r, _)| r != 0), "{alg} at {target} W");
+                assert_eq!(delivered.to_bits(), want_delivered, "{alg} at {target} W");
+                compared += 1;
+            }
+            assert!(compared > 0, "{alg} cleared no target");
+        }
+        assert!(capped_int, "MPR-INT's capped branch was not reached");
     }
 
     #[test]
