@@ -68,6 +68,12 @@ impl<C: CostModel> CostModel for NoisyCost<C> {
     fn cost(&self, delta: f64) -> f64 {
         self.factor * self.inner.cost(delta)
     }
+    fn cost_many(&self, deltas: &mut [f64]) {
+        self.inner.cost_many(deltas);
+        for c in deltas {
+            *c *= self.factor;
+        }
+    }
     fn delta_max(&self) -> f64 {
         self.inner.delta_max()
     }

@@ -233,6 +233,62 @@ impl AppProfile {
         (1.0 - perf) / perf
     }
 
+    /// Replaces every reduction in `reductions` with its
+    /// [`extra_execution`](Self::extra_execution), bit for bit. Allocation
+    /// falls as the reduction rises, so an ascending run of reductions
+    /// walks the linear segments once, top down, and each run of
+    /// reductions inside one segment is one tight loop; any order stays
+    /// correct. Monotone-cubic profiles and allocations outside the
+    /// profiled segments evaluate per element.
+    pub fn extra_execution_many(&self, reductions: &mut [f64]) {
+        let pts = &self.points;
+        let mut k = pts.len() - 2;
+        let mut rest = reductions;
+        while let Some((first, _)) = rest.split_first() {
+            let allocation = 1.0 - first.max(0.0);
+            let linear = self.smooth.is_none() && allocation < 1.0 && allocation > pts[0].0;
+            if linear {
+                // Segment `k` spans `(x_k, x_{k+1}]`: the first segment
+                // whose upper knot reaches the allocation, as in
+                // `performance`.
+                while k > 0 && allocation <= pts[k].0 {
+                    k -= 1;
+                }
+                while k + 2 < pts.len() && allocation > pts[k + 1].0 {
+                    k += 1;
+                }
+            }
+            let (x0, y0) = pts[k];
+            let (x1, y1) = pts[k + 1];
+            let in_segment = |r: &f64| {
+                let a = 1.0 - r.max(0.0);
+                a > x0 && a <= x1 && a < 1.0
+            };
+            let len = if linear && in_segment(first) {
+                rest.iter()
+                    .position(|r| !in_segment(r))
+                    .unwrap_or(rest.len())
+            } else {
+                0
+            };
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len.max(1));
+            if len == 0 {
+                for r in run {
+                    let perf = self.performance(1.0 - r.max(0.0));
+                    *r = (1.0 - perf) / perf;
+                }
+            } else {
+                let (dx, dy) = (x1 - x0, y1 - y0);
+                for r in run {
+                    let t = (1.0 - r.max(0.0) - x0) / dx;
+                    let perf = (y0 + t * dy).max(MIN_PERF);
+                    *r = (1.0 - perf) / perf;
+                }
+            }
+            rest = tail;
+        }
+    }
+
     /// A measure of how sensitive this application is to resource
     /// reduction: its extra execution at half its feasible range. Used for
     /// ordering/reporting, not by the market itself.
@@ -277,6 +333,13 @@ impl ProfileCost {
 impl CostModel for ProfileCost {
     fn cost(&self, delta: f64) -> f64 {
         self.alpha * self.profile.extra_execution(delta)
+    }
+
+    fn cost_many(&self, deltas: &mut [f64]) {
+        self.profile.extra_execution_many(deltas);
+        for c in deltas {
+            *c *= self.alpha;
+        }
     }
 
     fn delta_max(&self) -> f64 {

@@ -122,7 +122,24 @@ pub fn cooperative_bid<C: CostModel + ?Sized>(cost: &C) -> Result<f64, MarketErr
         }
         (delta_max - delta) * cost.unit_cost(delta)
     };
-    let (_, bid) = numeric::maximize(delta_max * 1e-6, delta_max, GRID, f)?;
+    // The grid takes `unit_cost`'s default definition, `C(x)/x` at x = δ
+    // or, near zero, at the limit point `eps`, through one `cost_many`.
+    let eps = 1e-9 * delta_max.max(1e-9);
+    let at = |delta: f64| if delta > 1e-12 { delta } else { eps };
+    let f_grid = |deltas: &[f64], values: &mut [f64]| {
+        for (v, &d) in values.iter_mut().zip(deltas) {
+            *v = at(d);
+        }
+        cost.cost_many(values);
+        for (v, &d) in values.iter_mut().zip(deltas) {
+            *v = if d <= 0.0 {
+                0.0
+            } else {
+                (delta_max - d) * (*v / at(d))
+            };
+        }
+    };
+    let (_, bid) = numeric::maximize(delta_max * 1e-6, delta_max, GRID, f, f_grid)?;
     Ok(bid.max(0.0))
 }
 
@@ -180,7 +197,19 @@ pub fn best_response<C: CostModel + ?Sized>(
             constraint: "cost model must allow a positive reduction",
         });
     }
-    let (delta, net_gain) = numeric::maximize(0.0, delta_max, GRID, |d| q * d - cost.cost(d))?;
+    let (delta, net_gain) = numeric::maximize(
+        0.0,
+        delta_max,
+        GRID,
+        |d| q * d - cost.cost(d),
+        |deltas, values| {
+            values.copy_from_slice(deltas);
+            cost.cost_many(values);
+            for (v, &d) in values.iter_mut().zip(deltas) {
+                *v = q * d - *v;
+            }
+        },
+    )?;
     // Never supply at a loss: δ = 0 always achieves G = 0.
     let (delta, net_gain) = if net_gain < 0.0 {
         (0.0, 0.0)

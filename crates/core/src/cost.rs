@@ -28,12 +28,25 @@ pub trait CostModel: Send + Sync {
     /// beyond it (EQL may push jobs past their profiled range).
     fn cost(&self, delta: f64) -> f64;
 
+    /// Replaces every reduction in `deltas` with its cost, bit for bit
+    /// what [`cost`](Self::cost) returns for it. Bidding prices its whole
+    /// search grid through this one call; table-driven models override it
+    /// to walk their segments once per grid instead of once per point.
+    fn cost_many(&self, deltas: &mut [f64]) {
+        for d in deltas {
+            *d = self.cost(*d);
+        }
+    }
+
     /// The largest resource reduction this job can meaningfully supply
     /// (the `Δ` of its supply function).
     fn delta_max(&self) -> f64;
 
     /// Cost per unit of resource reduction, `C(δ)/δ` — the reference curve
     /// a user bids against (Fig. 4). Defined as the limit slope at `δ → 0`.
+    /// [`cooperative_bid`](crate::bidding::cooperative_bid) evaluates this
+    /// definition through [`cost_many`](Self::cost_many), so an override
+    /// must compute the same quotient.
     fn unit_cost(&self, delta: f64) -> f64 {
         if delta > 1e-12 {
             self.cost(delta) / delta
@@ -54,6 +67,9 @@ impl<T: CostModel + ?Sized> CostModel for &T {
     fn cost(&self, delta: f64) -> f64 {
         (**self).cost(delta)
     }
+    fn cost_many(&self, deltas: &mut [f64]) {
+        (**self).cost_many(deltas);
+    }
     fn delta_max(&self) -> f64 {
         (**self).delta_max()
     }
@@ -69,6 +85,9 @@ impl<T: CostModel + ?Sized> CostModel for Arc<T> {
     fn cost(&self, delta: f64) -> f64 {
         (**self).cost(delta)
     }
+    fn cost_many(&self, deltas: &mut [f64]) {
+        (**self).cost_many(deltas);
+    }
     fn delta_max(&self) -> f64 {
         (**self).delta_max()
     }
@@ -83,6 +102,9 @@ impl<T: CostModel + ?Sized> CostModel for Arc<T> {
 impl<T: CostModel + ?Sized> CostModel for Box<T> {
     fn cost(&self, delta: f64) -> f64 {
         (**self).cost(delta)
+    }
+    fn cost_many(&self, deltas: &mut [f64]) {
+        (**self).cost_many(deltas);
     }
     fn delta_max(&self) -> f64 {
         (**self).delta_max()
@@ -294,6 +316,15 @@ impl<C: CostModel> ScaledCost<C> {
 impl<C: CostModel> CostModel for ScaledCost<C> {
     fn cost(&self, delta: f64) -> f64 {
         self.cores * self.inner.cost(delta / self.cores)
+    }
+    fn cost_many(&self, deltas: &mut [f64]) {
+        for d in deltas.iter_mut() {
+            *d /= self.cores;
+        }
+        self.inner.cost_many(deltas);
+        for c in deltas {
+            *c *= self.cores;
+        }
     }
     fn delta_max(&self) -> f64 {
         self.cores * self.inner.delta_max()

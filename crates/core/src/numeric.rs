@@ -65,6 +65,12 @@ where
 /// Maximizes `f` over `[lo, hi]` with a coarse grid scan followed by
 /// golden-section refinement around the best grid cell.
 ///
+/// The grid is evaluated in one batched call: `f_grid(xs, values)` must
+/// set every `values[i]` to `f(xs[i])`, bit for bit, so a caller can
+/// price the whole grid through one walk of its model (see
+/// [`CostModel::cost_many`](crate::CostModel::cost_many)). The golden-section
+/// polish calls `f` point by point.
+///
 /// Returns `(x_best, f(x_best))`. The grid scan makes the routine robust to
 /// multi-modal objectives (e.g. net gain under non-convex cost models); the
 /// golden-section pass then polishes to ~1e-10 relative accuracy.
@@ -72,9 +78,16 @@ where
 /// # Errors
 ///
 /// Returns [`MarketError::Numeric`] when the bracket is invalid.
-pub fn maximize<F>(lo: f64, hi: f64, grid: usize, f: F) -> Result<(f64, f64), MarketError>
+pub fn maximize<F, G>(
+    lo: f64,
+    hi: f64,
+    grid: usize,
+    f: F,
+    f_grid: G,
+) -> Result<(f64, f64), MarketError>
 where
     F: Fn(f64) -> f64,
+    G: FnOnce(&[f64], &mut [f64]),
 {
     if !(lo.is_finite() && hi.is_finite()) || lo > hi {
         return Err(MarketError::Numeric("invalid maximization bracket"));
@@ -84,18 +97,26 @@ where
     }
     let n = grid.max(3);
     let step = (hi - lo) / n as f64;
-    let mut best_i = 0usize;
-    let mut best_v = f64::NEG_INFINITY;
-    for i in 0..=n {
-        let x = lo + step * i as f64;
-        let v = f(x);
-        // Ties break toward larger x so bang-bang objectives prefer the
-        // full-supply corner, matching the paper's cooperative spirit.
-        if v >= best_v {
-            best_v = v;
-            best_i = i;
-        }
+    let mut buf = vec![0.0; 2 * (n + 1)];
+    let (xs, values) = buf.split_at_mut(n + 1);
+    // A 32-bit index converts to `f64` exactly and in packed form, so the
+    // grid fills in vector lanes; 2^31 points would need a 32 GiB buffer.
+    for (x, i) in xs.iter_mut().zip(0i32..) {
+        *x = lo + step * f64::from(i);
     }
+    f_grid(xs, values);
+    // Ties break toward larger x so bang-bang objectives prefer the
+    // full-supply corner, matching the paper's cooperative spirit: the
+    // best point is the last one reaching the maximum. NaN never wins; an
+    // all-NaN grid keeps point 0 at −∞.
+    let top = max_of(values);
+    let (best_i, best_v) = values
+        .iter()
+        .copied()
+        .enumerate()
+        .rev()
+        .find(|&(_, v)| v >= top)
+        .unwrap_or((0, f64::NEG_INFINITY));
     let a = lo + step * best_i.saturating_sub(1) as f64;
     let b = (lo + step * (best_i + 1) as f64).min(hi);
     let (x, v) = golden_section_max(a, b, &f);
@@ -104,6 +125,22 @@ where
     } else {
         Ok((lo + step * best_i as f64, best_v))
     }
+}
+
+/// The largest non-NaN value, −∞ when there is none. Four running maxima
+/// keep the scan off a single dependency chain; the maximum of a set does
+/// not depend on the order it is taken in.
+fn max_of(values: &[f64]) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let chunks = values.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v);
+        }
+    }
+    let [a, b, c, d] = lanes;
+    rest.iter().fold(a.max(b).max(c.max(d)), |m, &v| m.max(v))
 }
 
 /// Golden-section search for the maximum of a unimodal `f` on `[a, b]`.
@@ -182,10 +219,24 @@ mod tests {
         assert!(bisect_threshold(f64::NAN, 1.0, 0.0, 1e-12, |x| x).is_err());
     }
 
+    /// Maximizes `f` with its grid evaluated point by point.
+    fn maximize_scalar(
+        lo: f64,
+        hi: f64,
+        grid: usize,
+        f: impl Fn(f64) -> f64,
+    ) -> Result<(f64, f64), MarketError> {
+        maximize(lo, hi, grid, &f, |xs, values| {
+            for (v, &x) in values.iter_mut().zip(xs) {
+                *v = f(x);
+            }
+        })
+    }
+
     #[test]
     fn maximize_quadratic() {
         // max of -(x-2)^2 + 5 at x = 2.
-        let (x, v) = maximize(0.0, 10.0, 64, |x| -(x - 2.0).powi(2) + 5.0).unwrap();
+        let (x, v) = maximize_scalar(0.0, 10.0, 64, |x| -(x - 2.0).powi(2) + 5.0).unwrap();
         assert!((x - 2.0).abs() < 1e-6);
         assert!((v - 5.0).abs() < 1e-9);
     }
@@ -193,20 +244,20 @@ mod tests {
     #[test]
     fn maximize_prefers_larger_x_on_ties() {
         // Constant function: tie-break should land in the upper region.
-        let (x, _) = maximize(0.0, 1.0, 16, |_| 1.0).unwrap();
+        let (x, _) = maximize_scalar(0.0, 1.0, 16, |_| 1.0).unwrap();
         assert!(x > 0.8, "x = {x}");
     }
 
     #[test]
     fn maximize_handles_bang_bang_objective() {
         // Convex objective: maximum at a boundary.
-        let (x, _) = maximize(0.0, 1.0, 64, |x| (x - 0.5).powi(2)).unwrap();
+        let (x, _) = maximize_scalar(0.0, 1.0, 64, |x| (x - 0.5).powi(2)).unwrap();
         assert!(!(0.01..=0.99).contains(&x));
     }
 
     #[test]
     fn maximize_degenerate_interval() {
-        let (x, v) = maximize(3.0, 3.0, 8, |x| x).unwrap();
+        let (x, v) = maximize_scalar(3.0, 3.0, 8, |x| x).unwrap();
         assert_eq!(x, 3.0);
         assert_eq!(v, 3.0);
     }

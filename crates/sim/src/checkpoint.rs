@@ -45,7 +45,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::config::CostNoise;
 use crate::engine::{
-    Accounting, ActiveJob, BidMemo, EngineState, Progress, RunSetup, Simulation, TelemetryState,
+    Accounting, ActiveJob, BidMemo, Draw, EngineState, Progress, RunSetup, Simulation,
+    TelemetryState,
 };
 use crate::report::{
     DegradationStats, EmergencyEvent, EmergencyEventKind, ProfileStats, SimReport, Timeline,
@@ -892,7 +893,7 @@ pub(crate) fn decode_state(
 
     d.finish()?;
 
-    // The lazy-progress and draw caches are derived: rebuild them.
+    // The lazy-progress and draw columns are derived: rebuild them.
     let mut state = EngineState {
         step,
         total_slots,
@@ -908,9 +909,9 @@ pub(crate) fn decode_state(
         telemetry,
         bids,
         progress: Progress::new(setup.slot),
-        draw: None,
+        draw: Draw::new(setup, &sim.config),
     };
-    state.resync();
+    state.resync(step as f64 * setup.slot);
     Ok(state)
 }
 

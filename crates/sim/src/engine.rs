@@ -57,7 +57,7 @@ pub(crate) struct ActiveJob {
     pub(crate) cores: f64,
     pub(crate) profile: Arc<AppProfile>,
     /// Remaining work in full-speed seconds. While the job steps lazily
-    /// this is its remaining work before slot `lazy.synced_step`; read it
+    /// this is its remaining work before slot `lazy_since`; read it
     /// through [`Progress::remaining`].
     pub(crate) remaining_secs: f64,
     pub(crate) nominal_secs: f64,
@@ -90,17 +90,9 @@ pub(crate) struct ActiveJob {
     /// Slowdown and cost rate at the reduction they were computed for;
     /// derived data, never checkpointed.
     rates: Rates,
-    /// Set while the job steps lazily; derived data, never checkpointed.
-    lazy: Option<Lazy>,
-}
-
-/// A full-speed job stepped in closed form: `remaining_secs` holds its
-/// remaining work before slot `synced_step`, and it completes in slot
-/// `done_step`.
-#[derive(Clone, Copy)]
-struct Lazy {
-    synced_step: usize,
-    done_step: usize,
+    /// While the job steps lazily, the slot its `remaining_secs` was
+    /// synced at; derived data, never checkpointed.
+    lazy_since: Option<usize>,
 }
 
 /// Lazy full-speed progress. At zero reduction a job's rate is exactly
@@ -108,17 +100,22 @@ struct Lazy {
 /// [`LAZY_MAX_REMAINING_SECS`] every per-slot subtraction `r − slot` that
 /// stays non-negative is exact. `k` of them therefore equal the single
 /// subtraction `r − k·slot`, so such a job skips the progress loop until
-/// the slot it completes in. Reduced jobs, and every job when the slot is
-/// fractional, step eagerly each slot. Derived data, never checkpointed:
-/// a restore re-sorts every job with [`EngineState::resync`].
+/// the slot it completes in, its wake step. Reduced jobs, and every job
+/// when the slot is fractional, step eagerly each slot. Derived data,
+/// never checkpointed: a restore re-sorts every job with
+/// [`EngineState::resync`].
 pub(crate) struct Progress {
     /// The slot length when it is a whole number of seconds; `None` steps
     /// every job eagerly.
     slot: Option<f64>,
     /// Jobs stepped every slot.
     eager: usize,
-    /// Earliest `done_step` of a lazy job; `usize::MAX` when none is lazy.
+    /// Earliest wake step of a lazy job; `usize::MAX` when none is lazy.
     due: usize,
+    /// Each active job's wake step, in `active` order: the slot a lazy job
+    /// completes in, 0 for a job stepped every slot. The progress loop
+    /// skips a lazy job on this column alone, without touching the job.
+    wake: Vec<usize>,
 }
 
 impl Progress {
@@ -127,15 +124,16 @@ impl Progress {
             slot: (slot.fract().to_bits() == 0).then_some(slot),
             eager: 0,
             due: usize::MAX,
+            wake: Vec::new(),
         }
     }
 
     /// `job`'s remaining work before slot `step`, materialized when the
     /// job steps lazily.
     pub(crate) fn remaining(&self, job: &ActiveJob, step: usize) -> f64 {
-        match (job.lazy, self.slot) {
-            (Some(lazy), Some(slot)) => {
-                job.remaining_secs - step.saturating_sub(lazy.synced_step) as f64 * slot
+        match (job.lazy_since, self.slot) {
+            (Some(since), Some(slot)) => {
+                job.remaining_secs - step.saturating_sub(since) as f64 * slot
             }
             _ => job.remaining_secs,
         }
@@ -145,25 +143,43 @@ impl Progress {
     /// stepping.
     fn materialize(&self, job: &mut ActiveJob, step: usize) {
         job.remaining_secs = self.remaining(job, step);
-        job.lazy = None;
+        job.lazy_since = None;
     }
 
     /// Sorts `job` into lazy or eager stepping as of slot `step`,
-    /// materializing its remaining work first.
-    fn sync(&mut self, job: &mut ActiveJob, step: usize) {
+    /// materializing its remaining work first, and returns its wake step.
+    fn sync(&mut self, job: &mut ActiveJob, step: usize) -> usize {
         self.materialize(job, step);
         let r = job.remaining_secs;
         let full_speed = job.reduction <= 0.0 && job.rates().perf.to_bits() == 1f64.to_bits();
         match self.slot {
             Some(slot) if full_speed && r > 0.0 && r < LAZY_MAX_REMAINING_SECS => {
                 let done_step = step + slots_to_finish(r, slot) - 1;
-                job.lazy = Some(Lazy {
-                    synced_step: step,
-                    done_step,
-                });
+                job.lazy_since = Some(step);
                 self.due = self.due.min(done_step);
+                done_step
             }
-            _ => self.eager += 1,
+            _ => {
+                self.eager += 1;
+                0
+            }
+        }
+    }
+
+    /// Sorts a newly admitted job and appends its wake step.
+    fn push(&mut self, job: &mut ActiveJob, step: usize) {
+        let wake = self.sync(job, step);
+        self.wake.push(wake);
+    }
+
+    /// Re-sorts every active job and rebuilds the wake column.
+    fn resync(&mut self, active: &mut [ActiveJob], step: usize) {
+        self.eager = 0;
+        self.due = usize::MAX;
+        self.wake.clear();
+        for job in active {
+            let wake = self.sync(job, step);
+            self.wake.push(wake);
         }
     }
 }
@@ -227,36 +243,97 @@ impl ActiveJob {
         }
         self.rates
     }
+}
 
-    /// Power drawn given the current per-job dynamic-power phase factor.
-    fn power_w(&self, static_w_per_core: f64, phase: f64) -> f64 {
-        self.cores * static_w_per_core
-            + (self.cores - self.reduction) * self.profile.unit_dynamic_power_w() * phase
-    }
+/// What a job's draw depends on besides the job itself.
+#[derive(Clone, Copy)]
+struct DrawShape {
+    static_w: f64,
+    phase_amplitude: f64,
+    phase_period_secs: f64,
+}
 
-    /// The job's dynamic-power phase factor at `t`: per-job phases
+impl DrawShape {
+    /// `job`'s `(power_w, reduction_w)` at `t`, watts: per-job phases
     /// modulate the dynamic draw around nominal.
-    fn phase(&self, cfg: &SimConfig, t: f64) -> f64 {
-        if cfg.phase_amplitude <= 0.0 {
+    fn terms(self, job: &ActiveJob, t: f64) -> (f64, f64) {
+        let phase = if self.phase_amplitude <= 0.0 {
             1.0
         } else {
-            1.0 + cfg.phase_amplitude
-                * (std::f64::consts::TAU * (t + self.phase_offset) / cfg.phase_period_secs).sin()
-        }
+            1.0 + self.phase_amplitude
+                * (std::f64::consts::TAU * (t + job.phase_offset) / self.phase_period_secs).sin()
+        };
+        let unit_w = job.profile.unit_dynamic_power_w();
+        (
+            job.cores * self.static_w + (job.cores - job.reduction) * unit_w * phase,
+            job.reduction * unit_w * phase,
+        )
     }
 }
 
-/// The active jobs' power draw and in-force reduction at `t`, watts.
-fn slot_draw(active: &[ActiveJob], static_w: f64, cfg: &SimConfig, t: f64) -> (f64, f64) {
-    let power_w: f64 = active
-        .iter()
-        .map(|j| j.power_w(static_w, j.phase(cfg, t)))
-        .sum();
-    let reduction_w: f64 = active
-        .iter()
-        .map(|j| j.reduction * j.profile.unit_dynamic_power_w() * j.phase(cfg, t))
-        .sum();
-    (power_w, reduction_w)
+/// The active jobs' power draw and in-force reduction: each job's terms in
+/// `active` order, and their sums. The sums depend only on the active set
+/// and its reductions (and on `t` under phased power), so they are summed
+/// again only after one of those changed. Derived data, never
+/// checkpointed: [`EngineState::resync`] rebuilds it.
+pub(crate) struct Draw {
+    shape: DrawShape,
+    /// Each active job's `(power_w, reduction_w)`, in `active` order.
+    terms: Vec<(f64, f64)>,
+    /// The terms' sums, or `None` once a term changed or moved.
+    sums: Option<(f64, f64)>,
+}
+
+impl Draw {
+    pub(crate) fn new(setup: &RunSetup<'_>, cfg: &SimConfig) -> Self {
+        Self {
+            shape: DrawShape {
+                static_w: setup.static_w,
+                phase_amplitude: cfg.phase_amplitude,
+                phase_period_secs: cfg.phase_period_secs,
+            },
+            terms: Vec::new(),
+            sums: None,
+        }
+    }
+
+    /// Appends the terms of a job admitted at `t`. Clean sums stay exact:
+    /// they are the left fold of the earlier terms, and `.sum()` would add
+    /// the new terms last.
+    fn push(&mut self, job: &ActiveJob, t: f64) {
+        let (power_w, reduction_w) = self.shape.terms(job, t);
+        self.terms.push((power_w, reduction_w));
+        self.sums = self.sums.map(|(p, r)| (p + power_w, r + reduction_w));
+    }
+
+    /// Drops the terms of the job at `i`, as `active.swap_remove(i)` does.
+    fn swap_remove(&mut self, i: usize) {
+        self.terms.swap_remove(i);
+        self.sums = None;
+    }
+
+    /// Recomputes every job's terms at `t`.
+    fn rebuild(&mut self, active: &[ActiveJob], t: f64) {
+        let shape = self.shape;
+        self.terms.clear();
+        self.terms.extend(active.iter().map(|j| shape.terms(j, t)));
+        self.sums = None;
+    }
+
+    /// The active jobs' `(power_w, reduction_w)` at `t`, watts. Phased
+    /// power refreshes every term first.
+    fn at(&mut self, active: &[ActiveJob], t: f64) -> (f64, f64) {
+        if self.shape.phase_amplitude > 0.0 {
+            self.rebuild(active, t);
+        }
+        // Both left folds in one pass, from `.sum()`'s start value `-0.0`
+        // (which an empty active set reads), in `active` order.
+        *self.sums.get_or_insert_with(|| {
+            self.terms
+                .iter()
+                .fold((-0.0, -0.0), |(p, r), t| (p + t.0, r + t.1))
+        })
+    }
 }
 
 /// Accumulators shared by the run loop.
@@ -375,9 +452,9 @@ pub(crate) struct TelemetryState {
 }
 
 /// Everything that changes while the engine runs — the exact contents of a
-/// checkpoint, except the derived [`BidMemo`], [`Progress`] and cached
-/// draw. Restoring these fields (plus the deterministic [`RunSetup`])
-/// reproduces the uninterrupted run bit-for-bit.
+/// checkpoint, except the derived [`BidMemo`], [`Progress`] and [`Draw`].
+/// Restoring these fields (plus the deterministic [`RunSetup`]) reproduces
+/// the uninterrupted run bit-for-bit.
 pub(crate) struct EngineState {
     /// Next slot to simulate.
     pub(crate) step: usize,
@@ -398,34 +475,29 @@ pub(crate) struct EngineState {
     pub(crate) telemetry: Option<TelemetryState>,
     /// Admission bid memo; not checkpointed.
     pub(crate) bids: BidMemo,
-    /// Lazy full-speed progress; not checkpointed.
+    /// Lazy full-speed progress and the wake column; not checkpointed.
     pub(crate) progress: Progress,
-    /// The active jobs' `(power_w, reduction_w)`, or `None` once the
-    /// active set or a reduction changed; not checkpointed.
-    pub(crate) draw: Option<(f64, f64)>,
+    /// The draw-terms column and its sums; not checkpointed.
+    pub(crate) draw: Draw,
 }
 
 impl EngineState {
-    /// Adds a freshly started job to the active set.
-    fn admit(&mut self, mut job: ActiveJob) {
+    /// Adds a job started at `t` to the active set and its columns.
+    fn admit(&mut self, mut job: ActiveJob, t: f64) {
         if job.static_supply.is_none() {
             self.acc.degradation.bid_failures += 1;
         }
-        self.progress.sync(&mut job, self.step);
+        self.progress.push(&mut job, self.step);
+        self.draw.push(&job, t);
         self.active.push(job);
         self.acc.jobs_started += 1;
-        self.draw = None;
     }
 
-    /// Re-sorts every active job into lazy or eager stepping and drops the
-    /// cached draw: after reductions change, and after a restore.
-    pub(crate) fn resync(&mut self) {
-        self.progress.eager = 0;
-        self.progress.due = usize::MAX;
-        for job in &mut self.active {
-            self.progress.sync(job, self.step);
-        }
-        self.draw = None;
+    /// Re-sorts every active job into lazy or eager stepping and rebuilds
+    /// both columns at `t`: after reductions change, and after a restore.
+    pub(crate) fn resync(&mut self, t: f64) {
+        self.progress.resync(&mut self.active, self.step);
+        self.draw.rebuild(&self.active, t);
     }
 }
 
@@ -571,7 +643,7 @@ impl<'a> Simulation<'a> {
             }),
             bids: BidMemo::default(),
             progress: Progress::new(setup.slot),
-            draw: None,
+            draw: Draw::new(setup, cfg),
         }
     }
 
@@ -718,7 +790,7 @@ impl<'a> Simulation<'a> {
             } else if let Some(profile) = self.job_profile(setup, state.next_job) {
                 let job =
                     self.start_job(state.next_job, profile, t, &mut state.rng, &mut state.bids);
-                state.admit(job);
+                state.admit(job, t);
             }
             state.next_job += 1;
         }
@@ -747,7 +819,7 @@ impl<'a> Simulation<'a> {
                 if job_w <= budget || !started_this_slot {
                     started_this_slot = true;
                     let job = self.start_job(idx, profile, t, &mut state.rng, &mut state.bids);
-                    state.admit(job);
+                    state.admit(job, t);
                     budget -= job_w;
                     state.deferred.pop_front();
                 } else {
@@ -760,18 +832,8 @@ impl<'a> Simulation<'a> {
         //    phases modulate the dynamic draw around nominal. When a
         //    telemetry pipeline is configured, the controller sees the
         //    robust estimator's conservative upper bound instead of the
-        //    true power — never the raw (noisy, lossy) sensor feed. The
-        //    draw depends only on the active set and its reductions (and
-        //    on `t` under phased power), so it is summed again only after
-        //    one of those changed.
-        let (power_w, mut reduction_w) = match state.draw {
-            Some(draw) if cfg.phase_amplitude <= 0.0 => draw,
-            _ => {
-                let draw = slot_draw(&state.active, static_w, cfg, t);
-                state.draw = Some(draw);
-                draw
-            }
-        };
+        //    true power — never the raw (noisy, lossy) sensor feed.
+        let (power_w, mut reduction_w) = state.draw.at(&state.active, t);
         let measured_w = match state.telemetry.as_mut() {
             Some(tel) => {
                 let reading = tel.sensor.sample(t, Watts::new(power_w));
@@ -883,10 +945,8 @@ impl<'a> Simulation<'a> {
         }
         if !matches!(action, EmergencyAction::None) {
             // The action may have changed any reduction.
-            state.resync();
-            let draw = slot_draw(&state.active, static_w, cfg, t);
-            state.draw = Some(draw);
-            reduction_w = draw.1;
+            state.resync(t);
+            reduction_w = state.draw.at(&state.active, t).1;
         }
 
         // 3. Overload accounting. The "overloaded state" of Table I and
@@ -917,11 +977,17 @@ impl<'a> Simulation<'a> {
         }
 
         // 4. Progress and accounting, in scan order. Lazy jobs are skipped
-        //    until the slot they complete in, and the loop runs at all
-        //    only when some job steps eagerly or a lazy one is due.
+        //    on their wake step until the slot they complete in, and the
+        //    loop runs at all only when some job steps eagerly or a lazy
+        //    one is due.
         let step = state.step;
         let progress = &mut state.progress;
         let run_loop = progress.eager > 0 || progress.due <= step;
+        // With no eager job, every job is lazy and the wake column alone
+        // finds the due ones. Otherwise most visited jobs are eager and
+        // read anyway, so a job's own state says whether its wake step
+        // needs reading.
+        let all_lazy = progress.eager == 0;
         if run_loop {
             progress.eager = 0;
             progress.due = usize::MAX;
@@ -931,14 +997,18 @@ impl<'a> Simulation<'a> {
             let Some(job) = state.active.get_mut(i) else {
                 break;
             };
-            if let Some(lazy) = job.lazy {
-                if lazy.done_step > step {
-                    progress.due = progress.due.min(lazy.done_step);
+            if all_lazy || job.lazy_since.is_some() {
+                let Some(wake) = progress.wake.get_mut(i) else {
+                    break;
+                };
+                if *wake > step {
+                    progress.due = progress.due.min(*wake);
                     i += 1;
                     continue;
                 }
                 // Due: finish with the same float subtraction an eagerly
                 // stepped job makes.
+                *wake = 0;
                 progress.materialize(job, step);
             }
             let Rates {
@@ -995,7 +1065,8 @@ impl<'a> Simulation<'a> {
                     state.acc.stretch_count += 1;
                 }
                 state.active.swap_remove(i);
-                state.draw = None;
+                progress.wake.swap_remove(i);
+                state.draw.swap_remove(i);
             } else {
                 progress.eager += 1;
                 i += 1;
@@ -1101,7 +1172,7 @@ impl<'a> Simulation<'a> {
             phase_offset: 0.0,
             affected: false,
             rates,
-            lazy: None,
+            lazy_since: None,
         }
     }
 
@@ -1946,11 +2017,64 @@ mod tests {
         }
     }
 
+    /// The wake and draw-terms columns, and any cached sums, checked
+    /// against a fresh rebuild at `t`; returns whether the sums were
+    /// cached.
+    fn assert_columns_fresh(state: &EngineState, cfg: &SimConfig, t: f64, label: &str) -> bool {
+        let n = state.active.len();
+        assert_eq!(state.progress.wake.len(), n, "{label}: wake column length");
+        assert_eq!(state.draw.terms.len(), n, "{label}: draw column length");
+        let slot = cfg.slot_secs;
+        let static_w = cfg.power_model.static_w_per_core();
+        let mut fresh = Vec::with_capacity(n);
+        for (i, job) in state.active.iter().enumerate() {
+            let wake = job.lazy_since.map_or(0, |since| {
+                since + slots_to_finish(job.remaining_secs, slot) - 1
+            });
+            assert_eq!(
+                state.progress.wake[i], wake,
+                "{label}: wake of job {}",
+                job.idx
+            );
+            let phase = if cfg.phase_amplitude <= 0.0 {
+                1.0
+            } else {
+                1.0 + cfg.phase_amplitude
+                    * (std::f64::consts::TAU * (t + job.phase_offset) / cfg.phase_period_secs).sin()
+            };
+            let unit_w = job.profile.unit_dynamic_power_w();
+            let power_w = job.cores * static_w + (job.cores - job.reduction) * unit_w * phase;
+            let reduction_w = job.reduction * unit_w * phase;
+            let (p, r) = state.draw.terms[i];
+            assert_eq!(
+                (p.to_bits(), r.to_bits()),
+                (power_w.to_bits(), reduction_w.to_bits()),
+                "{label}: draw terms of job {}",
+                job.idx
+            );
+            fresh.push((power_w, reduction_w));
+        }
+        let Some((power_w, reduction_w)) = state.draw.sums else {
+            return false;
+        };
+        // `.sum()` starts from -0.0, which an empty active set reads.
+        let p: f64 = fresh.iter().map(|t| t.0).sum();
+        let r: f64 = fresh.iter().map(|t| t.1).sum();
+        assert_eq!(
+            (power_w.to_bits(), reduction_w.to_bits()),
+            (p.to_bits(), r.to_bits()),
+            "{label}: cached draw"
+        );
+        true
+    }
+
     /// After every slot, each job's materialized remaining work equals an
-    /// eagerly stepped shadow to the bit, and a cached draw equals a fresh
-    /// sum. Every algorithm runs plain; phased power and a faulty sensor
-    /// are crossed with the three algorithms whose clearings are cheap
-    /// enough for a debug-build test; one run has a fractional slot.
+    /// eagerly stepped shadow to the bit, and the wake and draw-terms
+    /// columns and any cached draw equal a fresh rebuild. Every algorithm
+    /// runs plain; phased power and a faulty sensor are crossed with the
+    /// three algorithms whose clearings are cheap enough for a debug-build
+    /// test; one run has a fractional slot. Every run is restored from an
+    /// in-memory checkpoint every 211 slots and checked again.
     #[test]
     fn lazy_progress_and_cached_draw_equal_an_eager_shadow_after_every_slot() {
         let trace = TraceGenerator::new(ClusterSpec::gaia().with_span_days(2.0))
@@ -1987,13 +2111,21 @@ mod tests {
         fractional.slot_secs = 45.5;
         configs.push(("MPR-STAT slot=45.5".to_owned(), fractional));
         for (label, cfg) in configs {
-            let draw_cfg = cfg.clone();
             let slot = cfg.slot_secs;
-            let static_w = cfg.power_model.static_w_per_core();
+            let phased = cfg.phase_amplitude > 0.0;
+            let sim = Simulation::new(&trace, cfg);
+            let setup = sim.setup();
+            let mut state = sim.initial_state(&setup);
             // Each active job's remaining work, stepped every slot.
             let mut shadow: BTreeMap<usize, f64> = BTreeMap::new();
-            let (mut lazy_checks, mut draw_checks) = (0usize, 0usize);
-            drive_checked(&trace, cfg, |state| {
+            let (mut lazy_checks, mut draw_checks, mut appends) = (0usize, 0usize, 0usize);
+            let (mut completions, mut restores) = (0usize, 0usize);
+            let mut sums_clean = false;
+            while !state.finished && state.step < setup.horizon_slots {
+                let events_before = state.events.len();
+                sim.step_slot(&setup, &mut state);
+                let t = (state.step - 1) as f64 * slot;
+                let at = format!("{label} after slot {}", state.step - 1);
                 let mut stepped = BTreeMap::new();
                 for job in &state.active {
                     let before = shadow.get(&job.idx).copied().unwrap_or(job.nominal_secs);
@@ -2002,28 +2134,43 @@ mod tests {
                     assert_eq!(
                         state.progress.remaining(job, state.step).to_bits(),
                         eager.to_bits(),
-                        "{label}: job {} before slot {}",
-                        job.idx,
-                        state.step
+                        "{at}: job {}",
+                        job.idx
                     );
-                    assert!(eager > 0.0, "{label}: job {} finished late", job.idx);
+                    assert!(eager > 0.0, "{at}: job {} finished late", job.idx);
                     stepped.insert(job.idx, eager);
-                    lazy_checks += usize::from(job.lazy.is_some());
+                    lazy_checks += usize::from(job.lazy_since.is_some());
+                }
+                let completed = shadow.keys().any(|idx| !stepped.contains_key(idx));
+                let admitted = stepped.keys().any(|idx| !shadow.contains_key(idx));
+                completions += usize::from(completed);
+                // An admission-only slot on clean sums appends exactly.
+                if sums_clean && admitted && !completed && state.events.len() == events_before {
+                    appends += usize::from(!phased);
                 }
                 shadow = stepped;
-                if let Some((power_w, reduction_w)) = state.draw {
-                    let t = (state.step - 1) as f64 * slot;
-                    let (p, r) = slot_draw(&state.active, static_w, &draw_cfg, t);
-                    assert_eq!(
-                        (power_w.to_bits(), reduction_w.to_bits()),
-                        (p.to_bits(), r.to_bits()),
-                        "{label}: draw after slot {}",
-                        state.step - 1
-                    );
-                    draw_checks += 1;
+                sums_clean = assert_columns_fresh(&state, &sim.config, t, &at);
+                draw_checks += usize::from(sums_clean);
+                if state.step.is_multiple_of(211) {
+                    let bytes = checkpoint::encode_state(&state);
+                    state = checkpoint::decode_state(&bytes, &sim, &setup).expect("restore");
+                    let t = state.step as f64 * slot;
+                    sums_clean = assert_columns_fresh(&state, &sim.config, t, &at);
+                    restores += 1;
                 }
-            });
+            }
+            let count =
+                |kind: EmergencyEventKind| state.events.iter().filter(|e| e.kind == kind).count();
+            assert!(
+                count(EmergencyEventKind::Declare) > 0,
+                "{label}: no declare"
+            );
+            assert!(count(EmergencyEventKind::Lift) > 0, "{label}: no lift");
+            assert!(completions > 0 && restores > 0, "{label}");
             assert!(draw_checks > 0, "{label}: the draw must be cached");
+            if !phased {
+                assert!(appends > 0, "{label}: no admission appended exactly");
+            }
             if slot.fract() > 0.0 {
                 assert_eq!(lazy_checks, 0, "{label}: fractional slots step eagerly");
             } else {
