@@ -21,6 +21,24 @@ fn bench_static_market(c: &mut Criterion) {
     group.finish();
 }
 
+/// Best-effort MPR-STAT clears, the simulator's path: a rack-sized
+/// market, one the size of a typical `flat-stat` overload (about 127
+/// rows), and one at the 100k scale of the paper's scalability claim.
+fn bench_best_effort(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mpr_stat_best_effort");
+    for &(n, samples) in &[(8usize, 20_000), (128, 20_000), (100_000, 20)] {
+        let jobs = make_jobs(n);
+        let instance = make_instance(&jobs);
+        let target = Watts::new(0.3 * attainable_watts(&jobs));
+        let mut mech = MclrMechanism::best_effort();
+        group.sample_size(samples);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| mech.clear(std::hint::black_box(&instance), target).unwrap());
+        });
+    }
+    group.finish();
+}
+
 fn bench_clearing_index(c: &mut Criterion) {
     // The O(log M) closed-form clearing vs the bisection path. This is a
     // data-structure micro-bench (the index backs MclrMechanism), so it
@@ -84,6 +102,7 @@ fn bench_eql(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_static_market,
+    bench_best_effort,
     bench_clearing_index,
     bench_opt,
     bench_eql

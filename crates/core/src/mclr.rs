@@ -60,58 +60,255 @@ pub fn attainable_power(participants: &[Participant]) -> Watts {
 /// # }
 /// ```
 ///
+/// The price is found by doubling an upper bracket and bisecting it. When
+/// every row has a finite `Δ ≥ 0`, a finite `b ≥ 0` and a finite `w > 0`,
+/// [`aggregate_power`] is non-decreasing in the price bit for bit
+/// (correctly rounded `/`, `−`, `max`, `×` and the in-order `+` fold are
+/// each monotone). Such markets answer most of the search's queries from
+/// the tightest pair of exactly evaluated prices, one short of the target
+/// and one reaching it, seeded around a closed-form estimate: the search
+/// makes the same decisions, and returns the same bits, as one that
+/// evaluates every query.
+///
 /// # Errors
 ///
 /// * [`MarketError::NoParticipants`] if the market is empty and the target
 ///   is positive.
 /// * [`MarketError::Infeasible`] if even the maximal supplies fall short of
-///   the target; callers that prefer best-effort capping should catch this
-///   and use [`clear_best_effort`].
+///   the target, or if no price reaches it: the doubled bracket overflows,
+///   or the aggregate supply stops rising while below the target. Callers
+///   that prefer best-effort capping should catch this and use
+///   [`clear_best_effort`].
 pub fn solve(participants: &[Participant], target: Watts) -> Result<MclrSolution, MarketError> {
+    search(participants, target).0
+}
+
+/// Newton steps spent on the seed estimate; an estimate that has not
+/// settled by then is still verified before it is used.
+const SEED_NEWTON_STEPS: usize = 16;
+
+/// Relative distance of the first seed probe from the estimate, well
+/// inside the bisection's 1e-12 stopping width.
+const SEED_REL_STEP: f64 = 128.0 * f64::EPSILON;
+
+/// Probes spent looking for the far side of the seed bracket; each one
+/// widens the step 64-fold.
+const SEED_PROBES: usize = 4;
+
+/// [`solve`], also returning the number of O(n) [`aggregate_power`] folds
+/// it spent.
+fn search(
+    participants: &[Participant],
+    target: Watts,
+) -> (Result<MclrSolution, MarketError>, usize) {
     if target <= Watts::ZERO {
-        return Ok(MclrSolution::ZERO);
+        return (Ok(MclrSolution::ZERO), 0);
     }
     if participants.is_empty() {
-        return Err(MarketError::NoParticipants);
+        return (Err(MarketError::NoParticipants), 0);
     }
     let attainable = attainable_power(participants);
+    let infeasible = MarketError::Infeasible {
+        target_watts: target.get(),
+        attainable_watts: attainable.get(),
+    };
     // Tolerance: supplies only reach Δ in the limit q → ∞, so accept targets
     // within a hair of the attainable maximum and clear them at a large price.
     if attainable < target * (1.0 - 1e-9) {
-        return Err(MarketError::Infeasible {
-            target_watts: target.get(),
-            attainable_watts: attainable.get(),
-        });
+        return (Err(infeasible), 0);
     }
-
-    // Find an upper bracket by doubling from the largest activation price.
-    let mut hi = participants
-        .iter()
-        .filter_map(|p| p.supply.activation_price())
-        .fold(PRICE_EPS, |m, a| m.max(a.get()))
-        .max(PRICE_EPS)
-        * 2.0;
-    let mut doubles = 0;
-    while aggregate_power(participants, Price::new(hi)) < target {
-        hi *= 2.0;
-        doubles += 1;
-        if doubles > 2000 {
-            // Target equals the attainable supremum: every participant must
-            // deliver (numerically) all of Δ.
-            return Ok(MclrSolution {
-                price: Price::new(hi),
-                power: aggregate_power(participants, Price::new(hi)),
-            });
+    let scan = Scan::of(participants);
+    let mut power = Threshold::new(participants, target.get(), scan.monotone);
+    if scan.monotone {
+        // Monotone supply never exceeds its limit at q → ∞, which is the
+        // attainable fold bit for bit (b/∞ = 0).
+        if attainable < target {
+            return (Err(infeasible), 0);
+        }
+        // Seeding pays for itself from a single row up (BENCHMARKS.md).
+        if let Some(q) = scan.estimate(participants, attainable.get(), target.get()) {
+            power.seed(q);
         }
     }
 
-    let q = numeric::bisect_threshold(PRICE_EPS, hi, target.get(), 1e-12, |q| {
-        aggregate_power(participants, Price::new(q)).get()
-    })?;
-    Ok(MclrSolution {
-        price: Price::new(q),
-        power: aggregate_power(participants, Price::new(q)),
-    })
+    // Find an upper bracket by doubling from the largest activation price.
+    let mut hi = scan.max_activation.max(PRICE_EPS) * 2.0;
+    let mut last = None;
+    while power.reaches(hi) == Some(false) {
+        if !scan.monotone {
+            // Without monotonicity nothing bounds the search: stop once
+            // the supply stops rising.
+            if last.is_some_and(|p| power.last <= p) {
+                return (Err(infeasible), power.folds);
+            }
+            last = Some(power.last);
+        }
+        hi *= 2.0;
+        if !hi.is_finite() {
+            return (Err(infeasible), power.folds);
+        }
+    }
+
+    let q = match numeric::bisect_by(PRICE_EPS, hi, 1e-12, |q| power.reaches(q)) {
+        Ok(q) => Price::new(q),
+        Err(e) => return (Err(e), power.folds),
+    };
+    let sol = MclrSolution {
+        price: q,
+        power: aggregate_power(participants, q),
+    };
+    (Ok(sol), power.folds + 1)
+}
+
+/// One pass over a market's rows: whether its supply is monotone in the
+/// price, and the inputs of the clearing-price estimate.
+struct Scan {
+    /// Every row has a finite `Δ ≥ 0`, a finite `b ≥ 0` and a finite
+    /// `w > 0`.
+    monotone: bool,
+    /// The largest activation price `b/Δ`, at least [`PRICE_EPS`].
+    max_activation: f64,
+    /// `Σ w·b` over the rows with `Δ > 0`: the slope of `P(1/u)` at `u = 0`.
+    bid_weight: f64,
+    /// The number of rows with `Δ > 0`.
+    active: usize,
+}
+
+impl Scan {
+    fn of(participants: &[Participant]) -> Self {
+        let mut scan = Self {
+            monotone: true,
+            max_activation: PRICE_EPS,
+            bid_weight: 0.0,
+            active: 0,
+        };
+        for p in participants {
+            let (delta, bid, w) = (p.supply.delta_max(), p.supply.bid(), p.watts_per_unit);
+            scan.monotone &= delta.is_finite()
+                && delta >= 0.0
+                && bid.is_finite()
+                && bid >= 0.0
+                && w.is_finite()
+                && w > 0.0;
+            if let Some(a) = p.supply.activation_price() {
+                scan.max_activation = scan.max_activation.max(a.get());
+            }
+            if delta > 0.0 {
+                scan.bid_weight += w * bid;
+                scan.active += 1;
+            }
+        }
+        scan
+    }
+
+    /// An estimate of the clearing price: Newton's method on
+    /// `P(u) = Σ w·[Δ − b·u]⁺`, the supply at price `1/u`, which is convex,
+    /// non-increasing and piecewise linear in `u`. From `u = 0`, where
+    /// every row supplies its Δ, each step lands on the root of the active
+    /// rows' line, which never passes the true root; a step that keeps the
+    /// active set has found it. `None` when no finite positive price
+    /// results (a zero-bid market clears at any price).
+    fn estimate(&self, participants: &[Participant], attainable: f64, target: f64) -> Option<f64> {
+        let (mut u, mut p, mut slope, mut active) =
+            (0.0f64, attainable, self.bid_weight, self.active);
+        for _ in 0..SEED_NEWTON_STEPS {
+            if !(slope > 0.0 && p > target) {
+                break;
+            }
+            u += (p - target) / slope;
+            (p, slope) = (0.0, 0.0);
+            let mut now_active = 0;
+            for x in participants {
+                let d = x.supply.delta_max() - x.supply.bid() * u;
+                if d > 0.0 {
+                    p += x.watts_per_unit * d;
+                    slope += x.watts_per_unit * x.supply.bid();
+                    now_active += 1;
+                }
+            }
+            if now_active == active {
+                break;
+            }
+            active = now_active;
+        }
+        let q = u.recip();
+        (q.is_finite() && q > 0.0).then_some(q)
+    }
+}
+
+/// The clearing search's `reaches` predicate, `aggregate_power(q) ≥
+/// target`. On a monotone market it keeps the tightest pair of exactly
+/// evaluated prices `(below, above)` and answers any query outside it
+/// without a fold: a price at or under `below` falls short, one at or over
+/// `above` reaches.
+struct Threshold<'a> {
+    participants: &'a [Participant],
+    target: f64,
+    replay: bool,
+    /// Largest price known to fall short; `P(0) = 0` does.
+    below: f64,
+    /// Smallest price known to reach; `P(∞)`, the attainable supply, does
+    /// once the caller has checked it.
+    above: f64,
+    /// The value of the latest fold.
+    last: f64,
+    /// Folds so far.
+    folds: usize,
+}
+
+impl<'a> Threshold<'a> {
+    fn new(participants: &'a [Participant], target: f64, replay: bool) -> Self {
+        Self {
+            participants,
+            target,
+            replay,
+            below: 0.0,
+            above: f64::INFINITY,
+            last: f64::NAN,
+            folds: 0,
+        }
+    }
+
+    fn reaches(&mut self, q: f64) -> Option<bool> {
+        if self.replay {
+            if q <= self.below {
+                return Some(false);
+            }
+            if q >= self.above {
+                return Some(true);
+            }
+        }
+        self.last = aggregate_power(self.participants, Price::new(q)).get();
+        self.folds += 1;
+        let reached = numeric::reaches(self.last, self.target);
+        if self.replay {
+            match reached {
+                Some(true) => self.above = q,
+                Some(false) => self.below = q,
+                None => {}
+            }
+        }
+        reached
+    }
+
+    /// Evaluates the estimate `q` and probes outward from it, widening the
+    /// step, until the pair of known prices brackets the threshold or the
+    /// probes run out. Every fact comes from an exact fold, so a poor
+    /// estimate costs folds, never a different answer.
+    fn seed(&mut self, q: f64) {
+        let Some(first) = self.reaches(q) else {
+            return;
+        };
+        let mut step = q * SEED_REL_STEP;
+        let mut probe = q;
+        for _ in 0..SEED_PROBES {
+            probe = if first { probe - step } else { probe + step };
+            if !(probe > 0.0 && probe.is_finite()) || self.reaches(probe) != Some(first) {
+                return;
+            }
+            step *= 64.0;
+        }
+    }
 }
 
 /// Precomputed index over a fixed set of bids for *exact, closed-form*
@@ -342,6 +539,7 @@ mod tests {
     use super::*;
     use crate::supply::SupplyFunction;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn job(id: u64, delta: f64, bid: f64) -> Participant {
         Participant::new(
@@ -555,6 +753,202 @@ mod tests {
             Err(MarketError::NoParticipants)
         ));
         assert_eq!(solve_supplies(&items, w(0.0)).unwrap().price, Price::ZERO);
+    }
+
+    #[test]
+    fn target_just_above_attainable_is_infeasible_in_few_folds() {
+        let ps = vec![job(0, 1.0, 0.5)];
+        let target = w(125.0 * (1.0 + 5e-10));
+        let (res, folds) = search(&ps, target);
+        assert!(
+            matches!(res, Err(MarketError::Infeasible { .. })),
+            "{res:?}"
+        );
+        assert!(folds <= 2, "{folds} folds");
+        // A row with w = 0 leaves the monotone path; the doubling still
+        // stops once the supply stops rising.
+        let mut ps = ps;
+        ps.push(Participant::new(
+            1,
+            SupplyFunction::new(1.0, 0.5).unwrap(),
+            w(0.0),
+        ));
+        let (res, folds) = search(&ps, target);
+        assert!(
+            matches!(res, Err(MarketError::Infeasible { .. })),
+            "{res:?}"
+        );
+        assert!(folds <= 80, "{folds} folds");
+        // Best effort still clears at the ceiling, 1000× the activation.
+        let sol = clear_best_effort(&ps, target);
+        assert_eq!(sol.price, Price::new(500.0));
+        assert_eq!(sol.power, aggregate_power(&ps, Price::new(500.0)));
+    }
+
+    #[test]
+    fn seeded_search_spends_few_folds() {
+        let ps: Vec<Participant> = (0..128u32)
+            .map(|i| {
+                let x = f64::from(i);
+                Participant::new(
+                    i.into(),
+                    SupplyFunction::new(0.2 + (x * 0.37) % 0.8, (x * 0.61) % 0.9).unwrap(),
+                    w(100.0 + x),
+                )
+            })
+            .collect();
+        let attainable = attainable_power(&ps);
+        for frac in [0.01, 0.2, 0.5, 0.9] {
+            let (res, folds) = search(&ps, attainable * frac);
+            assert_eq!(res, plain_solve(&ps, attainable * frac));
+            assert!(folds <= 12, "{folds} folds at {frac}");
+        }
+    }
+
+    /// The search without replay: every query is a fresh fold, and the
+    /// doubling stops with `Infeasible` once the bracket overflows or, on a
+    /// market that is not monotone, once the supply stops rising.
+    fn plain_solve(ps: &[Participant], target: Watts) -> Result<MclrSolution, MarketError> {
+        if target <= Watts::ZERO {
+            return Ok(MclrSolution::ZERO);
+        }
+        if ps.is_empty() {
+            return Err(MarketError::NoParticipants);
+        }
+        let attainable = attainable_power(ps);
+        let infeasible = MarketError::Infeasible {
+            target_watts: target.get(),
+            attainable_watts: attainable.get(),
+        };
+        if attainable < target * (1.0 - 1e-9) {
+            return Err(infeasible);
+        }
+        let monotone = ps.iter().all(|p| {
+            let (d, b, w) = (p.supply.delta_max(), p.supply.bid(), p.watts_per_unit);
+            d.is_finite() && d >= 0.0 && b.is_finite() && b >= 0.0 && w.is_finite() && w > 0.0
+        });
+        let mut hi = ps
+            .iter()
+            .filter_map(|p| p.supply.activation_price())
+            .fold(PRICE_EPS, |m, a| m.max(a.get()))
+            .max(PRICE_EPS)
+            * 2.0;
+        let mut last: Option<Watts> = None;
+        while aggregate_power(ps, Price::new(hi)) < target {
+            let p = aggregate_power(ps, Price::new(hi));
+            if !monotone && last.is_some_and(|l| p <= l) {
+                return Err(infeasible);
+            }
+            last = Some(p);
+            hi *= 2.0;
+            if !hi.is_finite() {
+                return Err(infeasible);
+            }
+        }
+        let q = numeric::bisect_threshold(PRICE_EPS, hi, target.get(), 1e-12, |q| {
+            aggregate_power(ps, Price::new(q)).get()
+        })?;
+        Ok(MclrSolution {
+            price: Price::new(q),
+            power: aggregate_power(ps, Price::new(q)),
+        })
+    }
+
+    /// [`clear_best_effort`] over [`plain_solve`].
+    fn plain_best_effort(ps: &[Participant], target: Watts) -> MclrSolution {
+        let max_activation = ps
+            .iter()
+            .filter_map(|p| p.supply.activation_price())
+            .fold(0.0f64, |m, a| m.max(a.get()));
+        let ceiling = Price::new((PRICE_CEILING_FACTOR * max_activation).max(1.0));
+        match plain_solve(ps, target) {
+            Ok(sol) if sol.price <= ceiling => sol,
+            _ => MclrSolution {
+                price: ceiling,
+                power: aggregate_power(ps, ceiling),
+            },
+        }
+    }
+
+    /// A market row: `kind` picks a zero Δ, a zero bid or one of three
+    /// tied bids a fifth of the time each, else a free bid; `w` is
+    /// 10^`log_w`.
+    fn row(i: usize, (kind, delta, bid, log_w): (u8, f64, f64, f64), w_sign: f64) -> Participant {
+        let (delta, bid) = match kind {
+            0 => (0.0, bid),
+            1 => (delta, 0.0),
+            2 => (delta, [0.1, 0.25, 0.5][i % 3] * delta),
+            _ => (delta, bid),
+        };
+        Participant::new(
+            i as u64,
+            SupplyFunction::new(delta, bid).unwrap(),
+            Watts::new(w_sign * 10f64.powf(log_w)),
+        )
+    }
+
+    /// A target as a fraction of the attainable supply: 10^-9 up to 1,
+    /// exactly 1, or above it.
+    fn target_of(attainable: Watts, (pick, log_frac): (u8, f64)) -> Watts {
+        match pick {
+            0 => attainable,
+            1 => attainable * (1.0 + 5e-10),
+            2 => attainable * 1.5,
+            3 => attainable * (1.0 - 1e-12),
+            _ => attainable * 10f64.powf(log_frac),
+        }
+    }
+
+    fn assert_same(
+        a: &Result<MclrSolution, MarketError>,
+        b: &Result<MclrSolution, MarketError>,
+    ) -> Result<(), TestCaseError> {
+        match (a, b) {
+            (Ok(x), Ok(y)) => {
+                prop_assert_eq!(x.price.get().to_bits(), y.price.get().to_bits());
+                prop_assert_eq!(x.power.get().to_bits(), y.power.get().to_bits());
+            }
+            _ => prop_assert_eq!(a, b),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The replayed search decides every query as plain bisection
+        /// does: the same price and power bits, the same errors.
+        #[test]
+        fn replayed_solve_equals_plain_bisection(
+            rows in proptest::collection::vec((0u8..5, 0.01f64..2.0, 0.0f64..1.0, -3.0f64..4.0), 1..300),
+            target in (0u8..10, -9.0f64..0.0),
+        ) {
+            let ps: Vec<Participant> = rows.iter().enumerate().map(|(i, &r)| row(i, r, 1.0)).collect();
+            let target = target_of(attainable_power(&ps), target);
+            assert_same(&solve(&ps, target), &plain_solve(&ps, target))?;
+            let (a, b) = (clear_best_effort(&ps, target), plain_best_effort(&ps, target));
+            assert_same(&Ok(a), &Ok(b))?;
+        }
+
+        /// Markets with a non-positive or non-finite `w` leave the
+        /// replay: their supply need not be monotone.
+        #[test]
+        fn unguarded_solve_equals_plain_bisection(
+            rows in proptest::collection::vec((0u8..5, 0.01f64..2.0, 0.0f64..1.0, -3.0f64..4.0), 1..60),
+            signs in proptest::collection::vec(0u8..4, 60),
+            target in (0u8..10, -9.0f64..0.0),
+        ) {
+            let ps: Vec<Participant> = rows
+                .iter()
+                .zip(&signs)
+                .enumerate()
+                .map(|(i, (&r, &s))| row(i, r, [1.0, 1.0, -1.0, 0.0][usize::from(s)]))
+                .collect();
+            let target = target_of(attainable_power(&ps), target);
+            assert_same(&solve(&ps, target), &plain_solve(&ps, target))?;
+            let (a, b) = (clear_best_effort(&ps, target), plain_best_effort(&ps, target));
+            assert_same(&Ok(a), &Ok(b))?;
+        }
     }
 
     proptest! {

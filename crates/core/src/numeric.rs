@@ -21,17 +21,20 @@ const MAX_BISECT_ITERS: usize = 200;
 /// power reduction is monotone in the price, so the cheapest feasible price
 /// is the threshold point. The threshold is a bare `f64` by design: this
 /// toolbox is unit-agnostic (callers bisect over watts, prices, or plain
-/// ratios alike).
+/// ratios alike). It is [`bisect_by`] with `reaches(x)` comparing `f(x)`
+/// against `threshold`.
 ///
 /// # Errors
 ///
-/// Returns [`MarketError::Numeric`] if the bracket is invalid or `f` is not
-/// finite at the bracket ends, and [`MarketError::Infeasible`] is *not*
-/// raised here — callers must check `f(hi) >= threshold` beforehand; if it
-/// is not, `hi` is returned.
+/// Returns [`MarketError::Numeric`] if the bracket is invalid (an end is
+/// not finite, or `lo > hi`); the values of `f` are never checked. A NaN
+/// value counts as not reaching the threshold at `lo` and at midpoints,
+/// and as not falling short of it at `hi`. [`MarketError::Infeasible`] is
+/// *not* raised here — callers must check `f(hi) >= threshold` beforehand;
+/// if it is not, `hi` is returned.
 pub fn bisect_threshold<F>(
-    mut lo: f64,
-    mut hi: f64,
+    lo: f64,
+    hi: f64,
     threshold: f64,
     rel_tol: f64,
     f: F,
@@ -39,18 +42,59 @@ pub fn bisect_threshold<F>(
 where
     F: Fn(f64) -> f64,
 {
+    bisect_by(lo, hi, rel_tol, |x| reaches(f(x), threshold))
+}
+
+/// Whether `value` reaches `threshold`: `Some(true)` when `value >=
+/// threshold`, `Some(false)` when `value < threshold`, `None` when the two
+/// are unordered (a NaN).
+pub(crate) fn reaches(value: f64, threshold: f64) -> Option<bool> {
+    if value >= threshold {
+        Some(true)
+    } else if value < threshold {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The predicate form of [`bisect_threshold`]: finds the smallest `x` in
+/// `[lo, hi]` at which `reaches(x)` holds, assuming it holds on an upper
+/// interval of the bracket.
+///
+/// `reaches(x)` answers `Some(true)` when `x` is at or past the threshold,
+/// `Some(false)` when it falls short, and `None` when the two are
+/// unordered (a NaN). `lo` is returned when it reaches; `hi` is returned
+/// when it falls short, or when no midpoint reaches; an unordered point
+/// counts as falling short inside the bracket and at `lo`, and keeps the
+/// search going at `hi`. A caller that can answer some queries without
+/// evaluating its function (see [`crate::mclr::solve`]) passes its own
+/// predicate here.
+///
+/// # Errors
+///
+/// Returns [`MarketError::Numeric`] if the bracket is invalid.
+pub fn bisect_by<R>(
+    mut lo: f64,
+    mut hi: f64,
+    rel_tol: f64,
+    mut reaches: R,
+) -> Result<f64, MarketError>
+where
+    R: FnMut(f64) -> Option<bool>,
+{
     if !(lo.is_finite() && hi.is_finite()) || lo > hi {
         return Err(MarketError::Numeric("invalid bisection bracket"));
     }
-    if f(lo) >= threshold {
+    if reaches(lo) == Some(true) {
         return Ok(lo);
     }
-    if f(hi) < threshold {
+    if reaches(hi) == Some(false) {
         return Ok(hi);
     }
     for _ in 0..MAX_BISECT_ITERS {
         let mid = 0.5 * (lo + hi);
-        if f(mid) >= threshold {
+        if reaches(mid) == Some(true) {
             hi = mid;
         } else {
             lo = mid;
@@ -217,6 +261,36 @@ mod tests {
     fn threshold_rejects_bad_bracket() {
         assert!(bisect_threshold(1.0, 0.0, 0.0, 1e-12, |x| x).is_err());
         assert!(bisect_threshold(f64::NAN, 1.0, 0.0, 1e-12, |x| x).is_err());
+    }
+
+    #[test]
+    fn threshold_keeps_its_nan_comparisons() {
+        // NaN at `hi` does not fall short, so the search goes on and finds
+        // the midpoint threshold; NaN at `lo` does not reach.
+        let f = |x: f64| if x == 1.0 { f64::NAN } else { x };
+        let x = bisect_threshold(0.0, 1.0, 0.5, 1e-12, f).unwrap();
+        assert!((x - 0.5).abs() < 1e-9, "x = {x}");
+        let g = |x: f64| if x == 0.0 { f64::NAN } else { x };
+        let x = bisect_threshold(0.0, 1.0, 0.5, 1e-12, g).unwrap();
+        assert!((x - 0.5).abs() < 1e-9, "x = {x}");
+        // NaN everywhere never reaches: the search ends at `hi`.
+        let x = bisect_threshold(0.0, 1.0, 0.5, 1e-12, |_| f64::NAN).unwrap();
+        assert_eq!(x, 1.0);
+    }
+
+    #[test]
+    fn bisect_by_asks_the_predicate_only() {
+        let mut asked = 0;
+        let x = bisect_by(0.0, 8.0, 1e-12, |x| {
+            asked += 1;
+            Some(x >= 3.0)
+        })
+        .unwrap();
+        assert!((x - 3.0).abs() < 1e-9, "x = {x}");
+        assert!(asked < 60, "asked {asked} times");
+        assert_eq!(bisect_by(0.0, 8.0, 1e-12, |_| Some(false)).unwrap(), 8.0);
+        assert_eq!(bisect_by(2.0, 8.0, 1e-12, |_| Some(true)).unwrap(), 2.0);
+        assert!(bisect_by(8.0, 0.0, 1e-12, |_| Some(true)).is_err());
     }
 
     /// Maximizes `f` with its grid evaluated point by point.

@@ -367,12 +367,23 @@ pub(crate) struct RunSetup<'a> {
     pub(crate) static_w: f64,
     pub(crate) peak_w: f64,
     pub(crate) capacity_w: f64,
-    /// Each trace job's profile, as an index into [`SimConfig::profiles`].
-    pub(crate) profiles: Vec<usize>,
+    /// Each trace job's profile.
+    pub(crate) profiles: Vec<ProfileIdx>,
     pub(crate) horizon_slots: usize,
     /// The active grid-fault plan compiled over the topology; derived
     /// data, rebuilt on resume.
     pub(crate) grid: Option<CompiledGridFaults<'a>>,
+}
+
+/// A profile's position in [`SimConfig::profiles`]: the key each trace
+/// job's profile assignment and the [`BidMemo`] use for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ProfileIdx(usize);
+
+impl ProfileIdx {
+    fn get(self) -> usize {
+        self.0
+    }
 }
 
 /// The cost models and cooperative static bids built at job admission,
@@ -380,17 +391,31 @@ pub(crate) struct RunSetup<'a> {
 ///
 /// A job's cost stacks and its bid `b = max_δ (Δ−δ)·C(δ)/δ` depend only on
 /// its profile, α, cost-perception factor and core count. One entry is
-/// kept per (profile index into [`SimConfig::profiles`], cores), holding
-/// the α and perception-factor bits it was built for: a hit needs equal
-/// bits and shares the entry's cost-model `Arc`s, a miss rebuilds and
-/// replaces the entry (jobs holding the old `Arc`s keep them). The memo
-/// therefore never holds more than profiles × distinct core counts
-/// entries, whatever α spread or cost noise the run draws. It is derived
-/// data and never checkpointed: a restored run starts with an empty memo
-/// and rebuilds on demand.
+/// kept per (profile, cores), holding the α and perception-factor bits it
+/// was built for: a hit needs equal bits and shares the entry's cost-model
+/// `Arc`s, a miss rebuilds and replaces the entry (jobs holding the old
+/// `Arc`s keep them). The memo therefore never holds more than profiles ×
+/// distinct core counts entries, whatever α spread or cost noise the run
+/// draws. It is derived data and never checkpointed: a restored run starts
+/// with an empty memo and rebuilds on demand.
 #[derive(Default)]
 pub(crate) struct BidMemo {
-    entries: BTreeMap<(usize, u32), MemoEntry>,
+    /// One table per profile, indexed by [`ProfileIdx`].
+    tables: Vec<CoreTable>,
+}
+
+/// Jobs at least this wide bypass the memo: a core-indexed table that
+/// size would cost more memory than rebuilding their models saves.
+const MEMO_MAX_CORES: usize = 1 << 16;
+
+/// One profile's memo entries, looked up by core count: `slots[cores]` is
+/// the entry's position in `entries` plus one, or 0 when there is none.
+/// The slots are four bytes per core count up to the widest job seen; the
+/// entries are as many as the distinct core counts.
+#[derive(Default)]
+struct CoreTable {
+    slots: Vec<u32>,
+    entries: Vec<MemoEntry>,
 }
 
 struct MemoEntry {
@@ -412,35 +437,58 @@ impl BidMemo {
     /// `noise_factor`, running `build` on a miss.
     fn models(
         &mut self,
-        profile: usize,
+        profile: ProfileIdx,
         cores: u32,
         alpha: f64,
         noise_factor: f64,
         build: impl FnOnce() -> JobModels,
     ) -> JobModels {
         let (alpha_bits, noise_bits) = (alpha.to_bits(), noise_factor.to_bits());
-        let key = (profile, cores);
-        if let Some(e) = self.entries.get(&key) {
+        let width = usize::try_from(cores).unwrap_or(usize::MAX);
+        if width >= MEMO_MAX_CORES {
+            return build();
+        }
+        if self.tables.len() <= profile.get() {
+            self.tables
+                .resize_with(profile.get() + 1, CoreTable::default);
+        }
+        let Some(table) = self.tables.get_mut(profile.get()) else {
+            return build();
+        };
+        if table.slots.len() <= width {
+            table.slots.resize(width + 1, 0);
+        }
+        let Some(slot) = table.slots.get_mut(width) else {
+            return build();
+        };
+        let entry = slot.checked_sub(1);
+        if let Some(e) = entry.and_then(|i| table.entries.get_mut(i as usize)) {
             if e.alpha_bits == alpha_bits && e.noise_bits == noise_bits {
                 return e.models.clone();
             }
-        }
-        let models = build();
-        self.entries.insert(
-            key,
-            MemoEntry {
+            let models = build();
+            *e = MemoEntry {
                 alpha_bits,
                 noise_bits,
                 models: models.clone(),
-            },
-        );
+            };
+            return models;
+        }
+        let models = build();
+        table.entries.push(MemoEntry {
+            alpha_bits,
+            noise_bits,
+            models: models.clone(),
+        });
+        // A table holds at most one entry per slot, so the count fits.
+        *slot = table.entries.len() as u32;
         models
     }
 
     /// Number of memoized entries.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.tables.iter().map(|t| t.entries.len()).sum()
     }
 }
 
@@ -533,16 +581,15 @@ impl<'a> Simulation<'a> {
     }
 
     /// [`reference_peak_watts`](Self::reference_peak_watts) for a given
-    /// profile assignment (indices into [`SimConfig::profiles`], one per
-    /// trace job).
-    fn peak_watts_for(&self, assignment: &[usize]) -> Watts {
+    /// profile assignment (one per trace job).
+    fn peak_watts_for(&self, assignment: &[ProfileIdx]) -> Watts {
         let profiles = &self.config.profiles;
         let static_w = self.config.power_model.static_w_per_core();
         let slot = self.config.slot_secs;
         let span = self.trace.span_secs();
         let n = (span / slot).ceil() as usize;
         let mut diff = vec![0.0f64; n + 1];
-        let assigned = assignment.iter().filter_map(|&k| profiles.get(k));
+        let assigned = assignment.iter().filter_map(|&k| profiles.get(k.get()));
         for (job, p) in self.trace.jobs().iter().zip(assigned) {
             let w = f64::from(job.cores) * (static_w + p.unit_dynamic_power_w());
             let s = ((job.start_secs / slot).floor() as usize).min(n);
@@ -567,13 +614,13 @@ impl<'a> Simulation<'a> {
 
     /// Draws each trace job's profile: an index into
     /// [`SimConfig::profiles`], uniform, from the config seed's stream.
-    fn assign_profiles(&self) -> Vec<usize> {
+    fn assign_profiles(&self) -> Vec<ProfileIdx> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let n = self.config.profiles.len();
         self.trace
             .jobs()
             .iter()
-            .map(|_| rng.gen_range(0..n))
+            .map(|_| ProfileIdx(rng.gen_range(0..n)))
             .collect()
     }
 
@@ -582,9 +629,9 @@ impl<'a> Simulation<'a> {
         &self,
         setup: &RunSetup<'_>,
         job: usize,
-    ) -> Option<(usize, &Arc<AppProfile>)> {
+    ) -> Option<(ProfileIdx, &Arc<AppProfile>)> {
         let k = *setup.profiles.get(job)?;
-        Some((k, self.config.profiles.get(k)?))
+        Some((k, self.config.profiles.get(k.get())?))
     }
 
     /// Builds the immutable per-run context.
@@ -1083,7 +1130,7 @@ impl<'a> Simulation<'a> {
     fn start_job(
         &self,
         idx: usize,
-        (profile_id, profile): (usize, &Arc<AppProfile>),
+        (profile_id, profile): (ProfileIdx, &Arc<AppProfile>),
         now: f64,
         rng: &mut ChaCha8Rng,
         bids: &mut BidMemo,
@@ -1096,14 +1143,17 @@ impl<'a> Simulation<'a> {
         };
         // Draw the perception factor exactly as the noise constructors do,
         // then keep the scalar: a checkpoint restore rebuilds the stack
-        // from (alpha, noise_factor) without touching the RNG.
-        let base = profile.cost_model(alpha);
-        let noisy = match cfg.cost_noise {
-            CostNoise::None => NoisyCost::new(base, 1.0),
-            CostNoise::Random { magnitude } => NoisyCost::random_error(base, magnitude, rng),
-            CostNoise::Underestimate { fraction } => NoisyCost::underestimate(base, fraction),
+        // from (alpha, noise_factor) without touching the RNG. Without
+        // noise the factor is exactly 1 and nothing is drawn.
+        let noise_factor = match cfg.cost_noise {
+            CostNoise::None => 1.0,
+            CostNoise::Random { magnitude } => {
+                NoisyCost::random_error(profile.cost_model(alpha), magnitude, rng).factor()
+            }
+            CostNoise::Underestimate { fraction } => {
+                NoisyCost::underestimate(profile.cost_model(alpha), fraction).factor()
+            }
         };
-        let noise_factor = noisy.factor();
         let mut job = self.rebuild_job(idx, (profile_id, profile), alpha, noise_factor, bids);
         job.exec_started_secs = now;
         job.participates = rng.gen_bool(cfg.participation.clamp(0.0, 1.0));
@@ -1120,7 +1170,7 @@ impl<'a> Simulation<'a> {
     pub(crate) fn rebuild_job(
         &self,
         idx: usize,
-        (profile_id, profile): (usize, &Arc<AppProfile>),
+        (profile_id, profile): (ProfileIdx, &Arc<AppProfile>),
         alpha: f64,
         noise_factor: f64,
         bids: &mut BidMemo,
@@ -2199,6 +2249,103 @@ mod tests {
         ] {
             assert_eq!(v.capacity(), v.len());
         }
+    }
+
+    /// The core-indexed memo against the contract of a memo keyed by
+    /// (profile, cores): for each call in `calls`, a hit (equal α and
+    /// perception-factor bits) shares the entry's `Arc`s, a bits mismatch
+    /// replaces the entry with fresh ones, and the memo holds exactly one
+    /// entry per key seen. A call carrying a job checks the job a
+    /// checkpoint restore already rebuilt through `memo`. Returns (hits,
+    /// replacements).
+    fn check_keyed_contract<'j>(
+        sim: &Simulation<'_>,
+        setup: &RunSetup<'_>,
+        memo: &mut BidMemo,
+        calls: impl IntoIterator<Item = (usize, f64, f64, Option<&'j ActiveJob>)>,
+    ) -> (usize, usize) {
+        type Handles = (
+            Arc<ScaledCost<NoisyCost<ProfileCost>>>,
+            Arc<ScaledCost<ProfileCost>>,
+        );
+        let mut shadow: BTreeMap<(ProfileIdx, u32), (u64, u64, Handles)> = BTreeMap::new();
+        let (mut hits, mut replaced) = (0, 0);
+        for (idx, alpha, noise, restored) in calls {
+            let profile = sim.job_profile(setup, idx).expect("job has a profile");
+            let cores = sim.trace.jobs().get(idx).expect("job in trace").cores;
+            let rebuilt;
+            let job = match restored {
+                Some(job) => job,
+                None => {
+                    rebuilt = sim.rebuild_job(idx, profile, alpha, noise, memo);
+                    &rebuilt
+                }
+            };
+            let key = (profile.0, cores);
+            let bits = (alpha.to_bits(), noise.to_bits());
+            if let Some((a, n, (perceived, true_cost))) = shadow.get(&key) {
+                let shared = Arc::ptr_eq(perceived, &job.perceived);
+                assert_eq!(shared, Arc::ptr_eq(true_cost, &job.true_cost), "job {idx}");
+                if (*a, *n) == bits {
+                    assert!(shared, "job {idx}: a hit must share the entry's models");
+                    hits += 1;
+                } else {
+                    assert!(!shared, "job {idx}: a bits mismatch must rebuild");
+                    replaced += 1;
+                }
+            }
+            let handles = (job.perceived.clone(), job.true_cost.clone());
+            shadow.insert(key, (bits.0, bits.1, handles));
+            if restored.is_none() {
+                assert_eq!(memo.len(), shadow.len(), "job {idx}");
+            }
+        }
+        assert_eq!(memo.len(), shadow.len());
+        (hits, replaced)
+    }
+
+    #[test]
+    fn memo_tables_keep_the_keyed_memo_contract() {
+        let trace = small_trace();
+        let cfg = SimConfig::new(Algorithm::MprStat, 15.0)
+            .with_alpha_spread(0.5)
+            .with_cost_noise(CostNoise::Random { magnitude: 0.3 });
+        let sim = Simulation::new(&trace, cfg);
+        let setup = sim.setup();
+        // Admissions drawing from two α and two perception factors.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let calls: Vec<(usize, f64, f64, Option<&ActiveJob>)> = (0..trace.len().min(4000))
+            .map(|idx| {
+                let alpha = [1.0, 1.5][usize::from(rng.gen_bool(0.3))];
+                let noise = [1.0, 0.8][usize::from(rng.gen_bool(0.3))];
+                (idx, alpha, noise, None)
+            })
+            .collect();
+        let mut memo = BidMemo::default();
+        let (hits, replaced) = check_keyed_contract(&sim, &setup, &mut memo, calls);
+        assert!(
+            hits > 0 && replaced > 0,
+            "{hits} hits, {replaced} replacements"
+        );
+
+        // A checkpoint restore rebuilds the active jobs, in order, into a
+        // fresh memo under the same contract.
+        let mut state = sim.initial_state(&setup);
+        let mut restores = 0;
+        while !state.finished && state.step < setup.horizon_slots {
+            sim.step_slot(&setup, &mut state);
+            if state.step.is_multiple_of(997) && state.active.len() > 1 {
+                let bytes = checkpoint::encode_state(&state);
+                state = checkpoint::decode_state(&bytes, &sim, &setup).expect("restore");
+                let calls = state
+                    .active
+                    .iter()
+                    .map(|j| (j.idx, j.alpha, j.noise_factor, Some(j)));
+                check_keyed_contract(&sim, &setup, &mut state.bids, calls);
+                restores += 1;
+            }
+        }
+        assert!(restores > 0);
     }
 
     #[test]
