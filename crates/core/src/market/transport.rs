@@ -14,8 +14,8 @@
 //!   drop/delay/duplicate/reorder/partition fault is drawn from a seeded
 //!   `ChaCha8Rng`, so a run replays exactly from `(config, seed)`.
 //!
-//! The manager-side round loop (see
-//! [`TransportedInteractiveMechanism`](crate::mechanism::TransportedInteractiveMechanism))
+//! The manager-side round collector (see
+//! [`TransportRounds`](crate::mechanism::TransportRounds))
 //! adds per-agent retransmits with capped exponential backoff plus jitter
 //! ([`RetryPolicy`]), idempotent dedup of duplicate and late replies keyed
 //! by `(agent, round, msg_id)`, and a straggler policy: after the deadline

@@ -17,6 +17,45 @@ use crate::participant::Participant;
 use crate::supply::SupplyFunction;
 use crate::units::{Price, Watts};
 
+/// The announced price of an MPR-INT exchange and its trajectory: the
+/// damped update every interactive exchange shares.
+pub(crate) struct DampedPrice {
+    price: f64,
+    /// Every announced price, the initial one first.
+    pub(crate) trace: Vec<f64>,
+}
+
+impl DampedPrice {
+    /// Starts at the configured initial price, floored at 1e-9.
+    pub(crate) fn new(cfg: &InteractiveConfig) -> Self {
+        let price = cfg.initial_price.max(1e-9);
+        Self {
+            price,
+            trace: vec![price],
+        }
+    }
+
+    /// The price announced for the next round.
+    pub(crate) fn announced(&self) -> Price {
+        Price::new(self.price)
+    }
+
+    /// Moves the announcement toward `cleared`, the price that clears
+    /// this round's bids: `q ← (1−γ)·q + γ·q*`. Returns the relative
+    /// change, or `None` once it is within the tolerance (converged).
+    pub(crate) fn step(&mut self, cleared: Price, cfg: &InteractiveConfig) -> Option<f64> {
+        let next = (1.0 - cfg.damping) * self.price + cfg.damping * cleared.get();
+        let rel_change = (next - self.price).abs() / self.price.abs().max(1e-9);
+        self.price = next;
+        self.trace.push(next);
+        if rel_change <= cfg.tolerance {
+            None
+        } else {
+            Some(rel_change)
+        }
+    }
+}
+
 /// The interactive market: rational [`NetGainAgent`]s are spun up from the
 /// instance's cost models and the iterative price/bid exchange runs to
 /// convergence.
@@ -159,8 +198,7 @@ impl Mechanism for InteractiveMechanism {
         }
 
         let cfg = self.config;
-        let mut price = cfg.initial_price.max(1e-9);
-        let mut trace = vec![price];
+        let mut price = DampedPrice::new(&cfg);
         let mut converged = false;
         let mut participants: Vec<Participant> = Vec::with_capacity(agents.len());
         let mut iterations = 0;
@@ -170,7 +208,7 @@ impl Mechanism for InteractiveMechanism {
             for (_, agent) in &mut agents {
                 // A rational agent's best response is finite by
                 // construction.
-                let bid = agent.respond(price)?;
+                let bid = agent.respond(price.announced().get())?;
                 participants.push(Participant::new(
                     agent.job_id(),
                     SupplyFunction::new(agent.delta_max(), bid.max(0.0))?,
@@ -178,11 +216,7 @@ impl Mechanism for InteractiveMechanism {
                 ));
             }
             let sol = mclr::clear_best_effort(&participants, target);
-            let next = (1.0 - cfg.damping) * price + cfg.damping * sol.price.get();
-            let rel_change = (next - price).abs() / price.abs().max(1e-9);
-            price = next;
-            trace.push(price);
-            if rel_change <= cfg.tolerance {
+            if price.step(sol.price, &cfg).is_none() {
                 converged = true;
                 break;
             }
@@ -197,7 +231,7 @@ impl Mechanism for InteractiveMechanism {
         // it is *cycling*. Surface the cycle as a typed error so a
         // FallbackChain degrades to a static mechanism instead of shipping
         // an arbitrary cycle point.
-        if !converged && is_oscillating(&trace, cfg.tolerance, cfg.oscillation_window) {
+        if !converged && is_oscillating(&price.trace, cfg.tolerance, cfg.oscillation_window) {
             return Err(MechanismError::NonConvergent {
                 rounds: iterations,
                 last_price: clearing_price.get(),
@@ -213,7 +247,7 @@ impl Mechanism for InteractiveMechanism {
             iterations,
             converged,
             accepted: converged,
-            price_trace: trace,
+            price_trace: price.trace,
             ..Diagnostics::default()
         };
         Ok(Clearing::build(

@@ -19,10 +19,12 @@
 //!   residual shortfall, diagnostics) or a typed [`MechanismError`].
 //! * The implementations: [`MclrMechanism`] (MPR-STAT),
 //!   [`InteractiveMechanism`] (MPR-INT), [`OptMechanism`], [`EqlMechanism`],
-//!   [`VcgMechanism`], [`TransportedInteractiveMechanism`] (MPR-INT over an
-//!   asynchronous deadline-bounded [`Transport`](crate::market::transport::Transport)),
-//!   and [`FallbackChain`] — the generic degradation chain, e.g.
-//!   [`ResilientInteractiveMechanism`] → MPR-STAT → [`EqlCappingMechanism`]
+//!   [`VcgMechanism`], the fault-tolerant MPR-INT [`FaultTolerantExchange`]
+//!   with its two round collectors ([`ResilientInteractiveMechanism`] in
+//!   process, [`TransportedInteractiveMechanism`] over an asynchronous
+//!   deadline-bounded [`Transport`](crate::market::transport::Transport)),
+//!   and [`FallbackChain`] — the generic degradation chain, e.g. the
+//!   fault-tolerant exchange → MPR-STAT → [`EqlCappingMechanism`]
 //!   ([`FallbackChain::degradation`]).
 //!
 //! The simulator, CLI, benches, and experiment binaries drive clearing
@@ -31,6 +33,7 @@
 mod auction;
 mod chain;
 mod equal;
+mod exchange;
 mod instance;
 mod interactive;
 mod optimal;
@@ -42,12 +45,13 @@ mod view;
 pub use auction::VcgMechanism;
 pub use chain::FallbackChain;
 pub use equal::{EqlCappingMechanism, EqlMechanism};
+pub use exchange::FaultTolerantExchange;
 pub use instance::{MarketInstance, ParticipantSpec};
 pub use interactive::InteractiveMechanism;
 pub use optimal::OptMechanism;
-pub use resilient::ResilientInteractiveMechanism;
+pub use resilient::{InProcessRounds, ResilientInteractiveMechanism};
 pub use stat::MclrMechanism;
-pub use transported::TransportedInteractiveMechanism;
+pub use transported::{TransportRounds, TransportedInteractiveMechanism};
 pub use view::{GroupId, InstanceView};
 
 use crate::error::MarketError;

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use mpr_apps::{AppProfile, NoisyCost, ProfileCost};
 use mpr_core::bidding::StaticStrategy;
-use mpr_core::mechanism::Clearing as MechanismClearing;
+use mpr_core::mechanism::{Clearing as MechanismClearing, FaultTolerantExchange};
 use mpr_core::{
     BiddingAgent, ByzantineAgent, ChainLevel, CostModel, CrashAgent, FallbackChain, MarketInstance,
     Mechanism, NetGainAgent, ParticipantSpec, ScaledCost, StaleAgent, SupplyFunction,
@@ -35,7 +35,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::checkpoint::{self, CheckpointError, CheckpointPlan, RunOutcome};
 use crate::config::{Algorithm, CostNoise, FaultPlan, NetPlan, SimConfig};
 use crate::ledger::LedgerEvent;
-use crate::mechanism::AgentExchange;
+use crate::mechanism::Level0;
 use crate::report::{
     DegradationStats, EmergencyEvent, EmergencyEventKind, FederatedStats, ProfileStats, SimReport,
     TransportTotals,
@@ -1287,7 +1287,10 @@ impl<'a> Simulation<'a> {
             self.config.seed ^ (acc.fault_events as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         if let Some(level0) = crate::mechanism::fault_tolerant_exchange(&self.config, event_seed) {
             acc.fault_events += 1;
-            return self.apply_int_chain(active, target_w, acc, level0, event_seed);
+            return match level0 {
+                Level0::InProcess(x) => self.apply_int_chain(active, target_w, acc, x, event_seed),
+                Level0::Net(x) => self.apply_int_chain(active, target_w, acc, *x, event_seed),
+            };
         }
         if self.config.is_federated() {
             if let Some(spec) = self.config.topology.as_ref() {
@@ -1569,14 +1572,17 @@ impl<'a> Simulation<'a> {
     /// MPR-INT → MPR-STAT → EQL [`FallbackChain::degradation`] ladder,
     /// recording the degradation diagnostics — and, over a network, the
     /// transport totals — into the accounting.
-    fn apply_int_chain(
+    fn apply_int_chain<C>(
         &self,
         active: &mut [ActiveJob],
         target_w: f64,
         acc: &mut Accounting,
-        mut level0: Box<dyn AgentExchange>,
+        mut level0: FaultTolerantExchange<C>,
         event_seed: u64,
-    ) -> (f64, bool) {
+    ) -> (f64, bool)
+    where
+        FaultTolerantExchange<C>: Mechanism,
+    {
         let mut rng = ChaCha8Rng::seed_from_u64(event_seed);
         let fault_plan = self.config.fault_plan.filter(FaultPlan::is_active);
         // The exchange's instance holds one row per registered agent, in

@@ -3,15 +3,15 @@
 //!
 //! The engine never talks to a solver directly — every clearing goes
 //! through `Mechanism::clear` over a shared
-//! [`MarketInstance`], and the choice of solver
+//! [`MarketInstance`](mpr_core::MarketInstance), and the choice of solver
 //! is made here, in one place. The simulator always uses the best-effort
 //! variants: an infeasible reduction target must degrade (cap at `Δ_m`),
 //! never abort the run.
 
 use mpr_core::{
-    BiddingAgent, EqlMechanism, FallbackChain, InteractiveConfig, InteractiveMechanism,
-    MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod, ResilientConfig,
-    ResilientInteractiveMechanism, SimNet, TransportedInteractiveMechanism, VcgMechanism,
+    EqlMechanism, FallbackChain, InteractiveConfig, InteractiveMechanism, MclrMechanism, Mechanism,
+    OptMechanism, OptMethod, ResilientConfig, ResilientInteractiveMechanism, SimNet,
+    TransportedInteractiveMechanism, VcgMechanism,
 };
 
 use crate::config::{Algorithm, FaultPlan, NetPlan, SimConfig};
@@ -45,32 +45,15 @@ pub fn for_algorithm(cfg: &SimConfig) -> Box<dyn Mechanism> {
     }
 }
 
-/// A level-0 exchange that owns its bidding agents: the first stage of the
-/// degradation chain MPR-INT clears through under an active fault or net
-/// plan.
-pub(crate) trait AgentExchange: Mechanism {
-    /// Registers an agent with its submission-time cooperative bid.
-    fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>);
-    /// The instance matching the registered agents, in registration order.
-    fn instance(&self) -> MarketInstance;
-}
-
-impl AgentExchange for ResilientInteractiveMechanism {
-    fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
-        ResilientInteractiveMechanism::register(self, agent, fallback_bid);
-    }
-    fn instance(&self) -> MarketInstance {
-        ResilientInteractiveMechanism::instance(self)
-    }
-}
-
-impl AgentExchange for TransportedInteractiveMechanism<SimNet> {
-    fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
-        TransportedInteractiveMechanism::register(self, agent, fallback_bid);
-    }
-    fn instance(&self) -> MarketInstance {
-        TransportedInteractiveMechanism::instance(self)
-    }
+/// The fault-tolerant level-0 exchange for one overload event: the one
+/// MPR-INT exchange, with the round collector its plans call for. It owns
+/// its bidding agents and is the first stage of the degradation chain.
+pub(crate) enum Level0 {
+    /// Agent faults only: rounds collected in process.
+    InProcess(ResilientInteractiveMechanism),
+    /// A lossy network, composing any agent faults: rounds collected over
+    /// a seeded [`SimNet`].
+    Net(Box<TransportedInteractiveMechanism<SimNet>>),
 }
 
 /// The fault-tolerant level-0 exchange for one overload event, seeded from
@@ -81,10 +64,7 @@ impl AgentExchange for TransportedInteractiveMechanism<SimNet> {
 /// seeded [`SimNet`] composes an active agent-fault plan (faulty agents
 /// behind a faulty channel). Otherwise an active agent-fault plan runs the
 /// synchronous resilient exchange.
-pub(crate) fn fault_tolerant_exchange(
-    cfg: &SimConfig,
-    event_seed: u64,
-) -> Option<Box<dyn AgentExchange>> {
+pub(crate) fn fault_tolerant_exchange(cfg: &SimConfig, event_seed: u64) -> Option<Level0> {
     if cfg.algorithm != Algorithm::MprInt {
         return None;
     }
@@ -100,14 +80,13 @@ pub(crate) fn fault_tolerant_exchange(
     };
     if let Some(plan) = cfg.net_plan.filter(NetPlan::is_active) {
         let net = SimNet::new(plan.fault_config(), event_seed ^ NET_SEED_XOR);
-        return Some(Box::new(TransportedInteractiveMechanism::new(
+        return Some(Level0::Net(Box::new(TransportedInteractiveMechanism::new(
             resilient,
             plan.transport_config(event_seed),
             net,
-        )));
+        ))));
     }
-    fault_plan
-        .map(|_| Box::new(ResilientInteractiveMechanism::new(resilient)) as Box<dyn AgentExchange>)
+    fault_plan.map(|_| Level0::InProcess(ResilientInteractiveMechanism::new(resilient)))
 }
 
 /// Human-readable descriptor of the clearing mechanism a configuration
@@ -115,13 +94,12 @@ pub(crate) fn fault_tolerant_exchange(
 /// never be resumed under a different mechanism or chain shape.
 #[must_use]
 pub fn descriptor(cfg: &SimConfig) -> String {
-    match fault_tolerant_exchange(cfg, 0) {
-        Some(level0) => format!(
-            "chain({})",
-            FallbackChain::degradation(level0).stage_names().join(",")
-        ),
-        None => for_algorithm(cfg).name().to_owned(),
-    }
+    let stages = match fault_tolerant_exchange(cfg, 0) {
+        Some(Level0::InProcess(level0)) => FallbackChain::degradation(level0).stage_names(),
+        Some(Level0::Net(level0)) => FallbackChain::degradation(*level0).stage_names(),
+        None => return for_algorithm(cfg).name().to_owned(),
+    };
+    format!("chain({})", stages.join(","))
 }
 
 #[cfg(test)]
