@@ -132,22 +132,10 @@ fn search(
     }
 
     // Find an upper bracket by doubling from the largest activation price.
-    let mut hi = scan.max_activation.max(PRICE_EPS) * 2.0;
-    let mut last = None;
-    while power.reaches(hi) == Some(false) {
-        if !scan.monotone {
-            // Without monotonicity nothing bounds the search: stop once
-            // the supply stops rising.
-            if last.is_some_and(|p| power.last <= p) {
-                return (Err(infeasible), power.folds);
-            }
-            last = Some(power.last);
-        }
-        hi *= 2.0;
-        if !hi.is_finite() {
-            return (Err(infeasible), power.folds);
-        }
-    }
+    let hi = scan.max_activation.max(PRICE_EPS) * 2.0;
+    let Some(hi) = upper_bracket(hi, !scan.monotone, |q| (power.reaches(q), power.last)) else {
+        return (Err(infeasible), power.folds);
+    };
 
     let q = match numeric::bisect_by(PRICE_EPS, hi, 1e-12, |q| power.reaches(q)) {
         Ok(q) => Price::new(q),
@@ -158,6 +146,35 @@ fn search(
         power: aggregate_power(participants, q),
     };
     (Ok(sol), power.folds + 1)
+}
+
+/// Doubles `hi` until `reaches` answers that the supply there is not short
+/// of the target: the upper end of a clearing search's bracket. `reaches`
+/// also returns the supply it found. `None` when no price reaches the
+/// target: the bracket overflows, or, with `plateau_stop` (a market whose
+/// supply nothing bounds), the supply stops rising.
+fn upper_bracket(
+    mut hi: f64,
+    plateau_stop: bool,
+    mut reaches: impl FnMut(f64) -> (Option<bool>, f64),
+) -> Option<f64> {
+    let mut last = None;
+    loop {
+        let (reached, supply) = reaches(hi);
+        if reached != Some(false) {
+            return Some(hi);
+        }
+        if plateau_stop {
+            if last.is_some_and(|p| supply <= p) {
+                return None;
+            }
+            last = Some(supply);
+        }
+        hi *= 2.0;
+        if !hi.is_finite() {
+            return None;
+        }
+    }
 }
 
 /// One pass over a market's rows: whether its supply is monotone in the
@@ -469,7 +486,9 @@ impl ClearingIndex {
 ///
 /// # Errors
 ///
-/// Same contract as [`solve`].
+/// Same contract as [`solve`], except that a target no price reaches is
+/// only found [`MarketError::Infeasible`] once the doubled bracket
+/// overflows.
 pub fn solve_supplies<S: crate::supply::Supply>(
     items: &[(S, f64)],
     target: Watts,
@@ -483,21 +502,21 @@ pub fn solve_supplies<S: crate::supply::Supply>(
     let target_watts = target.get();
     let power_at = |q: f64| -> f64 { items.iter().map(|(s, w)| s.supply(q) * w).sum() };
     let attainable: f64 = items.iter().map(|(s, w)| s.delta_max() * w).sum();
+    let infeasible = MarketError::Infeasible {
+        target_watts,
+        attainable_watts: attainable,
+    };
     if attainable < target_watts * (1.0 - 1e-9) {
-        return Err(MarketError::Infeasible {
-            target_watts,
-            attainable_watts: attainable,
-        });
+        return Err(infeasible);
     }
-    let mut hi = 1.0;
-    let mut doubles = 0;
-    while power_at(hi) < target_watts {
-        hi *= 2.0;
-        doubles += 1;
-        if doubles > 2000 {
-            break;
-        }
-    }
+    // A supply may be zero up to any price, so only an overflowing bracket
+    // shows that no price reaches the target.
+    let Some(hi) = upper_bracket(1.0, false, |q| {
+        let p = power_at(q);
+        (numeric::reaches(p, target_watts), p)
+    }) else {
+        return Err(infeasible);
+    };
     let q = numeric::bisect_threshold(PRICE_EPS, hi, target_watts, 1e-12, power_at)?;
     Ok(MclrSolution {
         price: Price::new(q),
@@ -753,6 +772,18 @@ mod tests {
             Err(MarketError::NoParticipants)
         ));
         assert_eq!(solve_supplies(&items, w(0.0)).unwrap().price, Price::ZERO);
+    }
+
+    #[test]
+    fn generic_target_just_above_attainable_is_infeasible() {
+        use crate::supply::LinearSupply;
+        // Inside the 1e-9 tolerance, but the supply saturates at 125 W.
+        let items = [(LinearSupply::new(1.0, 2.0).unwrap(), 125.0)];
+        let res = solve_supplies(&items, w(125.0 * (1.0 + 5e-10)));
+        assert!(
+            matches!(res, Err(MarketError::Infeasible { .. })),
+            "{res:?}"
+        );
     }
 
     #[test]
