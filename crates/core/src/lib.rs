@@ -80,32 +80,6 @@ pub mod supply;
 pub mod units;
 pub mod vcg;
 
-/// Convenience re-exports for downstream users: `use mpr_core::prelude::*`
-/// pulls in everything a typical market integration touches.
-pub mod prelude {
-    pub use crate::bidding::{best_response, cooperative_bid, net_gain, StaticStrategy};
-    pub use crate::cost::{CostModel, LinearCost, PowerLawCost, QuadraticCost, ScaledCost};
-    pub use crate::error::MarketError;
-    pub use crate::market::faults::{
-        ByzantineAgent, ChainLevel, CrashAgent, ResilientConfig, StaleAgent, UnresponsiveAgent,
-    };
-    pub use crate::market::interactive::{
-        is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent,
-    };
-    pub use crate::market::transport::{
-        NetFaultConfig, PerfectTransport, RetryPolicy, SimNet, Transport, TransportConfig,
-        TransportDiagnostics, TransportError,
-    };
-    pub use crate::mechanism::{
-        Clearing, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism,
-        MarketInstance, MclrMechanism, Mechanism, MechanismError, OptMechanism, ParticipantSpec,
-        ResilientInteractiveMechanism, TransportedInteractiveMechanism, VcgMechanism,
-    };
-    pub use crate::participant::Participant;
-    pub use crate::supply::{LinearSupply, Supply, SupplyFunction};
-    pub use crate::units::{CoreHours, Cores, Price, Watts};
-}
-
 pub use cost::{CostModel, LinearCost, LogFitCost, PowerLawCost, QuadraticCost, ScaledCost};
 pub use error::MarketError;
 pub use market::faults::{
