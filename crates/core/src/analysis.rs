@@ -9,9 +9,8 @@
 
 use crate::cost::CostModel;
 use crate::error::MarketError;
+use crate::mechanism::optimal::{self, OptMethod, OptRow};
 use crate::mechanism::Clearing;
-use crate::opt::{self, OptJob, OptMethod};
-use crate::units::Watts;
 
 /// Welfare decomposition of one clearing against the true cost models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,13 +71,12 @@ pub fn evaluate<C: CostModel>(
     let payment = clearing.total_payment_rate().get();
     let delivered = clearing.total_power_reduction();
     let optimal_cost = if delivered.get() > 1e-12 {
-        let jobs: Vec<OptJob<'_>> = true_costs
+        let rows: Vec<OptRow<'_>> = true_costs
             .iter()
             .zip(watts_per_unit)
-            .enumerate()
-            .map(|(i, (c, &w))| OptJob::new(i as u64, c, Watts::new(w)))
+            .map(|(c, &w)| (c as &dyn CostModel, w))
             .collect();
-        opt::solve(&jobs, delivered, OptMethod::Auto)?.total_cost
+        optimal::total_cost(&rows, &optimal::solve(&rows, delivered, OptMethod::Auto)?)
     } else {
         0.0
     };
@@ -99,6 +97,7 @@ mod tests {
     use crate::mechanism::{
         InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, ParticipantSpec,
     };
+    use crate::units::Watts;
     use std::sync::Arc;
 
     fn costs() -> Vec<QuadraticCost> {

@@ -27,10 +27,12 @@
 //!   optimal cost), [`OptMechanism`], [`EqlMechanism`] and
 //!   [`VcgMechanism`], plus the composable [`FallbackChain`] degradation
 //!   ladder over the fault-tolerant exchanges.
-//! * [`opt`] — the centralized **OPT** benchmark (Eqns. 1–2) minimizing total
-//!   performance-loss cost subject to the power-reduction constraint.
-//! * [`eql`] — the performance-oblivious **EQL** benchmark that slows every
-//!   core down uniformly.
+//! * [`OptMechanism`] — the centralized **OPT** benchmark (Eqns. 1–2)
+//!   minimizing total performance-loss cost subject to the power-reduction
+//!   constraint; the crate's one OPT solver, which [`VcgMechanism`]'s pivot
+//!   payments and [`analysis::evaluate`] also run.
+//! * [`EqlMechanism`] — the performance-oblivious **EQL** benchmark that
+//!   slows every core down uniformly.
 //! * [`market`] — the participant side: bidding agents, fault adapters,
 //!   the bid transport and the payment log.
 //! * [`json`] and [`codec`] — the workspace's one JSON codec and one
@@ -67,18 +69,15 @@ pub mod analysis;
 pub mod bidding;
 pub mod codec;
 pub mod cost;
-pub mod eql;
 pub mod error;
 pub mod json;
 pub mod market;
 pub mod mclr;
 pub mod mechanism;
 pub mod numeric;
-pub mod opt;
 pub mod participant;
 pub mod supply;
 pub mod units;
-pub mod vcg;
 
 pub use cost::{CostModel, LinearCost, LogFitCost, PowerLawCost, QuadraticCost, ScaledCost};
 pub use error::MarketError;
@@ -95,10 +94,9 @@ pub use market::transport::{
 pub use mclr::ClearingIndex;
 pub use mechanism::{
     Clearing, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism,
-    MarketInstance, MclrMechanism, Mechanism, MechanismError, OptMechanism, ParticipantSpec,
-    ResilientInteractiveMechanism, TransportedInteractiveMechanism, VcgMechanism,
+    MarketInstance, MclrMechanism, Mechanism, MechanismError, OptMechanism, OptMethod,
+    ParticipantSpec, ResilientInteractiveMechanism, TransportedInteractiveMechanism, VcgMechanism,
 };
-pub use opt::OptMethod;
 pub use participant::Participant;
 pub use supply::{LinearSupply, Supply, SupplyFunction};
 pub use units::{CoreHours, Cores, Price, Watts};

@@ -175,10 +175,9 @@ mod tests {
     use super::*;
     use crate::cost::{PowerLawCost, QuadraticCost};
     use crate::mechanism::{
-        Clearing, InteractiveMechanism, MarketInstance, Mechanism, MechanismError, ParticipantSpec,
-        ResilientInteractiveMechanism,
+        Clearing, InteractiveMechanism, MarketInstance, Mechanism, MechanismError, OptMechanism,
+        OptMethod, ParticipantSpec, ResilientInteractiveMechanism,
     };
-    use crate::opt;
 
     fn instance_of(costs: Vec<Arc<dyn CostModel>>) -> MarketInstance {
         costs
@@ -242,23 +241,20 @@ mod tests {
         )
         .unwrap();
 
-        let jobs: Vec<opt::OptJob<'_>> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| opt::OptJob::new(i as u64, c, Watts::new(125.0)))
-            .collect();
-        let optimal = opt::solve(&jobs, Watts::new(250.0), opt::OptMethod::Auto).unwrap();
-
-        let int_cost: f64 = c
-            .reductions()
-            .iter()
-            .zip(&costs)
-            .map(|(r, cost)| cost.cost(*r))
-            .sum();
+        let optimal = OptMechanism::strict(OptMethod::Auto)
+            .clear(&quad_instance(&[1.0, 2.0, 4.0, 8.0]), Watts::new(250.0))
+            .unwrap();
+        let cost_of = |c: &Clearing| -> f64 {
+            c.reductions()
+                .iter()
+                .zip(&costs)
+                .map(|(r, cost)| cost.cost(*r))
+                .sum()
+        };
+        let (int_cost, opt_cost) = (cost_of(&c), cost_of(&optimal));
         assert!(
-            int_cost <= optimal.total_cost * 1.10 + 1e-9,
-            "interactive {int_cost} vs OPT {}",
-            optimal.total_cost
+            int_cost <= opt_cost * 1.10 + 1e-9,
+            "interactive {int_cost} vs OPT {opt_cost}"
         );
     }
 

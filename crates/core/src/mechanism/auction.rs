@@ -1,11 +1,29 @@
-//! VCG (truthful pivot auction) on the unified [`Mechanism`] interface.
+//! VCG (Vickrey–Clarke–Groves, the truthful pivot auction) on the unified
+//! [`Mechanism`] interface — the mechanism-design alternative the paper
+//! contrasts MPR against (Section VI, "Mechanism design applications").
+//!
+//! In the VCG auction users *reveal their private cost functions* to the
+//! manager, who computes the cost-optimal allocation (OPT) and pays each
+//! contributing user its **pivot payment**: the externality it imposes on
+//! the rest of the system,
+//!
+//! ```text
+//! p_m = C*₋ₘ − (C* − c_m(δ*_m))
+//! ```
+//!
+//! where `C*` is the optimal total cost with everyone, and `C*₋ₘ` the
+//! optimal cost with user `m` removed. The auction is truthful (reporting
+//! the true cost function is a dominant strategy) and individually rational
+//! (payments cover costs) — but it requires users to disclose their cost
+//! functions, and it needs `M+1` OPT solves instead of MClr's single
+//! bisection. Supply-function bidding trades a little optimality (MPR-STAT)
+//! or a few interaction rounds (MPR-INT) for privacy and scalability; the
+//! `ablation_vcg` experiment quantifies that trade.
 
-use crate::cost::CostModel;
 use crate::error::MarketError;
+use crate::mechanism::optimal::{self, OptMethod, OptRow};
 use crate::mechanism::{Clearing, Diagnostics, InstanceView, Mechanism, MechanismError};
-use crate::opt::{OptJob, OptMethod};
 use crate::units::{Price, Watts};
-use crate::vcg;
 
 /// The incentive-compatible baseline (Section III-D): allocates like OPT
 /// and pays each contributing job its pivot payment, making truthful cost
@@ -22,6 +40,28 @@ use crate::vcg;
 ///   unreachable).
 /// * **best-effort** — on any solve failure caps every cost-bearing row at
 ///   its `Δ_m`, paid at its own unit cost.
+///
+/// ```
+/// use std::sync::Arc;
+/// use mpr_core::{CostModel, MarketInstance, Mechanism, OptMethod, ParticipantSpec};
+/// use mpr_core::{QuadraticCost, VcgMechanism, Watts};
+///
+/// # fn main() -> Result<(), mpr_core::MechanismError> {
+/// let costs: Vec<QuadraticCost> =
+///     [1.0, 2.0, 4.0].iter().map(|&a| QuadraticCost::new(a, 1.0)).collect();
+/// let instance: MarketInstance = costs
+///     .iter()
+///     .zip(0..)
+///     .map(|(c, id)| ParticipantSpec::new(id, 1.0, Watts::new(125.0)).with_cost(Arc::new(*c)))
+///     .collect();
+/// let clearing = VcgMechanism::strict(OptMethod::Auto).clear(&instance, Watts::new(200.0))?;
+/// // Individually rational: every pivot payment covers the user's cost.
+/// for (i, cost) in costs.iter().enumerate() {
+///     assert!(clearing.payment(i).get() >= cost.cost(clearing.reductions()[i]) - 1e-9);
+/// }
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct VcgMechanism {
     method: OptMethod,
@@ -49,6 +89,49 @@ impl VcgMechanism {
     }
 }
 
+/// Each row's `(reduction, pivot payment)` in input order. A row reducing
+/// at most `1e-12` gets `(0, 0)`.
+///
+/// # Errors
+///
+/// Propagates the OPT solve's errors, for everyone or with a contributing
+/// row removed (a monopolist supplier has unbounded pivot payment).
+fn awards(
+    rows: &[OptRow<'_>],
+    target: Watts,
+    method: OptMethod,
+) -> Result<Vec<(f64, f64)>, MarketError> {
+    let full = optimal::solve(rows, target, method)?;
+    let full_cost = optimal::total_cost(rows, &full);
+    let mut others: Vec<OptRow<'_>> = Vec::with_capacity(rows.len());
+    full.iter()
+        .zip(rows)
+        .enumerate()
+        .map(|(i, (&reduction, (cost, _)))| {
+            if reduction <= 1e-12 {
+                return Ok((0.0, 0.0));
+            }
+            let own_cost = cost.cost(reduction);
+            // Others' optimal cost when m does not exist.
+            others.clear();
+            others.extend(
+                rows.iter()
+                    .enumerate()
+                    .filter(|(k, _)| *k != i)
+                    .map(|(_, r)| *r),
+            );
+            let without = optimal::solve(&others, target, method)?;
+            let without_cost = optimal::total_cost(&others, &without);
+            // Others' cost within the full optimum.
+            let others_cost_in_full = full_cost - own_cost;
+            Ok((
+                reduction,
+                (without_cost - others_cost_in_full).max(own_cost),
+            ))
+        })
+        .collect()
+}
+
 impl Mechanism for VcgMechanism {
     fn name(&self) -> &'static str {
         "VCG"
@@ -60,39 +143,25 @@ impl Mechanism for VcgMechanism {
         target: Watts,
     ) -> Result<Clearing, MechanismError> {
         view.ensure_clearable()?;
-        let rows: Vec<usize> = view
-            .costs()
-            .iter()
-            .enumerate()
-            .filter_map(|(row, cost)| cost.as_ref().map(|_| row))
-            .collect();
+        let (positions, rows) = optimal::cost_rows(view);
         if rows.is_empty() {
             return Err(MechanismError::Market(MarketError::NoParticipants));
         }
-        let jobs: Vec<OptJob<'_>> = rows
-            .iter()
-            .filter_map(|&row| {
-                let id = view.ids().get(row)?;
-                let cost = view.costs().get(row)?.as_ref()?;
-                let wpu = view.watts_per_unit_slice().get(row)?;
-                Some(OptJob::new(*id, cost.as_ref(), Watts::new(*wpu)))
-            })
-            .collect();
-        match vcg::auction(&jobs, target, self.method) {
-            Ok(outcome) => {
-                let mut reductions = vec![0.0; view.len()];
-                let mut prices = vec![0.0; view.len()];
+        let mut reductions = vec![0.0; view.len()];
+        let mut prices = vec![0.0; view.len()];
+        match awards(&rows, target, self.method) {
+            Ok(awards) => {
                 let mut payments = vec![0.0; view.len()];
-                for (row, award) in rows.iter().zip(&outcome.awards) {
-                    if let Some(slot) = reductions.get_mut(*row) {
-                        *slot = award.reduction;
+                for (&row, (reduction, payment)) in positions.iter().zip(awards) {
+                    if let Some(slot) = reductions.get_mut(row) {
+                        *slot = reduction;
                     }
-                    if let Some(slot) = payments.get_mut(*row) {
-                        *slot = award.payment;
+                    if let Some(slot) = payments.get_mut(row) {
+                        *slot = payment;
                     }
-                    if let Some(slot) = prices.get_mut(*row) {
-                        *slot = if award.reduction > 1e-12 {
-                            award.payment / award.reduction
+                    if let Some(slot) = prices.get_mut(row) {
+                        *slot = if reduction > 1e-12 {
+                            payment / reduction
                         } else {
                             0.0
                         };
@@ -110,8 +179,6 @@ impl Mechanism for VcgMechanism {
             }
             Err(e) if self.strict => Err(MechanismError::Market(e)),
             Err(_) => {
-                let mut reductions = vec![0.0; view.len()];
-                let mut prices = vec![0.0; view.len()];
                 for (row, cost) in view.costs().iter().enumerate() {
                     if let Some(c) = cost {
                         let delta = c.delta_max();
@@ -145,47 +212,148 @@ impl Mechanism for VcgMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::QuadraticCost;
+    use crate::cost::{CostModel, QuadraticCost};
     use crate::mechanism::{MarketInstance, ParticipantSpec};
     use std::sync::Arc;
 
-    fn instance(alphas: &[f64]) -> MarketInstance {
-        alphas
+    const W125: Watts = Watts::new(125.0);
+
+    fn instance_of(costs: &[QuadraticCost]) -> MarketInstance {
+        costs
             .iter()
-            .enumerate()
-            .map(|(i, &a)| {
-                ParticipantSpec::new(i as u64, 1.0, Watts::new(125.0))
-                    .with_cost(Arc::new(QuadraticCost::new(a, 1.0)))
-            })
+            .zip(0..)
+            .map(|(c, id)| ParticipantSpec::new(id, c.delta_max(), W125).with_cost(Arc::new(*c)))
             .collect()
+    }
+
+    fn instance(alphas: &[f64]) -> MarketInstance {
+        let costs: Vec<QuadraticCost> =
+            alphas.iter().map(|&a| QuadraticCost::new(a, 1.0)).collect();
+        instance_of(&costs)
+    }
+
+    fn auction(costs: &[QuadraticCost], target: f64) -> Result<Clearing, MechanismError> {
+        VcgMechanism::strict(OptMethod::Auto).clear(&instance_of(costs), Watts::new(target))
+    }
+
+    fn quadratics(alphas: &[f64]) -> Vec<QuadraticCost> {
+        alphas.iter().map(|&a| QuadraticCost::new(a, 1.0)).collect()
+    }
+
+    /// `Σ C_m(δ_m)` of a clearing's rows under `costs`.
+    fn cost_of(costs: &[QuadraticCost], c: &Clearing) -> f64 {
+        c.reductions()
+            .iter()
+            .zip(costs)
+            .map(|(d, cost)| cost.cost(*d))
+            .sum()
     }
 
     #[test]
     fn matches_direct_auction_and_pays_at_least_cost() {
         let alphas = [1.0, 2.0, 4.0];
-        let inst = instance(&alphas);
-        let mut mech = VcgMechanism::strict(OptMethod::Auto);
-        let c = mech.clear(&inst, Watts::new(150.0)).unwrap();
+        let costs = quadratics(&alphas);
+        let target = Watts::new(150.0);
+        let c = auction(&costs, target.get()).unwrap();
         assert!(c.met_target());
 
-        let costs: Vec<QuadraticCost> =
-            alphas.iter().map(|&a| QuadraticCost::new(a, 1.0)).collect();
-        let jobs: Vec<OptJob<'_>> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, cst)| OptJob::new(i as u64, cst, Watts::new(125.0)))
-            .collect();
-        let direct = vcg::auction(&jobs, Watts::new(150.0), OptMethod::Auto).unwrap();
-        for ((mine_r, mine_p), award) in c
-            .reductions()
-            .iter()
-            .zip(c.payment_rates())
-            .zip(&direct.awards)
-        {
-            assert!((mine_r - award.reduction).abs() < 1e-9);
-            assert!((mine_p - award.payment).abs() < 1e-9);
+        // The pivot rule, from OPT clears of the full and reduced cohorts.
+        let mut opt = crate::mechanism::OptMechanism::strict(OptMethod::Auto);
+        let full = opt.clear(&instance(&alphas), target).unwrap();
+        let full_cost = cost_of(&costs, &full);
+        for (m, cost) in costs.iter().enumerate() {
+            let others: Vec<QuadraticCost> = (0..costs.len())
+                .filter(|&k| k != m)
+                .map(|k| costs[k])
+                .collect();
+            let without = opt.clear(&instance_of(&others), target).unwrap();
+            let own = cost.cost(full.reductions()[m]);
+            let pivot = (cost_of(&others, &without) - (full_cost - own)).max(own);
+            assert!((c.reductions()[m] - full.reductions()[m]).abs() < 1e-9);
+            assert!((c.payment(m).get() - pivot).abs() < 1e-9);
             // Individual rationality: payment covers incurred cost.
-            assert!(*mine_p >= award.cost - 1e-9);
+            assert!(c.payment(m).get() >= own - 1e-9);
+        }
+    }
+
+    #[test]
+    fn payments_cover_costs() {
+        let costs = quadratics(&[1.0, 2.0, 4.0]);
+        let c = auction(&costs, 200.0).unwrap();
+        for (i, cost) in costs.iter().enumerate() {
+            let own = cost.cost(c.reductions()[i]);
+            assert!(
+                c.payment(i).get() >= own - 1e-9,
+                "individual rationality violated: pay {} < cost {own}",
+                c.payment(i).get()
+            );
+        }
+        assert!(c.total_payment_rate().get() >= cost_of(&costs, &c));
+    }
+
+    #[test]
+    fn zero_reduction_gets_zero_payment() {
+        // One cheap job can cover the whole (small) target; the expensive
+        // one is idle and unpaid.
+        let costs = [
+            QuadraticCost::new(0.01, 1.0),
+            QuadraticCost::new(100.0, 1.0),
+        ];
+        let c = auction(&costs, 20.0).unwrap();
+        assert!(c.reductions()[1] < 0.05);
+        if c.reductions()[1] <= 1e-12 {
+            assert_eq!(c.payment(1).get(), 0.0);
+        }
+    }
+
+    #[test]
+    fn truthfulness_spot_check() {
+        // Under-reporting the cost cannot increase a user's utility
+        // (payment − true cost).
+        let truthful = QuadraticCost::new(2.0, 1.0);
+        let liar = QuadraticCost::new(1.0, 1.0); // claims to be cheaper
+        let other = QuadraticCost::new(2.0, 1.0);
+        let honest = auction(&[truthful, other, other], 150.0).unwrap();
+        let lying = auction(&[liar, other, other], 150.0).unwrap();
+        // True utility uses the TRUE cost at the assigned reduction.
+        let utility = |c: &Clearing| c.payment(0).get() - truthful.cost(c.reductions()[0]);
+        assert!(
+            utility(&honest) >= utility(&lying) - 1e-6,
+            "misreporting must not pay: honest {} vs lying {}",
+            utility(&honest),
+            utility(&lying)
+        );
+    }
+
+    #[test]
+    fn monopolist_supplier_is_infeasible() {
+        // Removing the only big supplier makes the target unreachable:
+        // the target needs more than `small` alone can give.
+        let big = QuadraticCost::new(1.0, 10.0);
+        let small = QuadraticCost::new(1.0, 0.1);
+        assert!(matches!(
+            auction(&[big, small], 500.0),
+            Err(MechanismError::Market(MarketError::Infeasible { .. }))
+        ));
+    }
+
+    #[test]
+    fn empty_and_trivial_targets() {
+        assert!(matches!(
+            awards(&[], Watts::new(10.0), OptMethod::Auto),
+            Err(MarketError::NoParticipants)
+        ));
+        let c = auction(&quadratics(&[1.0]), 0.0).unwrap();
+        assert_eq!(c.total_payment_rate().get(), 0.0);
+        assert_eq!(c.reductions(), &[0.0]);
+    }
+
+    #[test]
+    fn symmetric_jobs_pay_symmetrically() {
+        let c = auction(&quadratics(&[2.0; 4]), 300.0).unwrap();
+        let p0 = c.payment(0).get();
+        for p in c.payment_rates() {
+            assert!((p - p0).abs() < 1e-6, "payments {:?}", c.payment_rates());
         }
     }
 

@@ -36,7 +36,7 @@ mod equal;
 mod exchange;
 mod instance;
 mod interactive;
-mod optimal;
+pub(crate) mod optimal;
 mod resilient;
 mod stat;
 mod transported;
@@ -48,7 +48,7 @@ pub use equal::{EqlCappingMechanism, EqlMechanism};
 pub use exchange::FaultTolerantExchange;
 pub use instance::{MarketInstance, ParticipantSpec};
 pub use interactive::InteractiveMechanism;
-pub use optimal::OptMechanism;
+pub use optimal::{OptMechanism, OptMethod};
 pub use resilient::{InProcessRounds, ResilientInteractiveMechanism};
 pub use stat::MclrMechanism;
 pub use transported::{TransportRounds, TransportedInteractiveMechanism};

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use mpr_core::{
-    opt, CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism,
-    ParticipantSpec, QuadraticCost, Watts,
+    CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism, OptMechanism,
+    OptMethod, ParticipantSpec, QuadraticCost, Watts,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,17 +42,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clearing.iterations()
     );
 
-    let opt_jobs: Vec<opt::OptJob<'_>> = costs
+    let optimal = OptMechanism::strict(OptMethod::Auto).clear(&instance, target)?;
+    let optimal_cost: f64 = optimal
+        .reductions()
         .iter()
-        .enumerate()
-        .map(|(i, c)| opt::OptJob::new(i as u64, c, Watts::new(125.0)))
-        .collect();
-    let optimal = opt::solve(&opt_jobs, target, opt::OptMethod::Auto)?;
+        .zip(&costs)
+        .map(|(delta, cost)| cost.cost(*delta))
+        .sum();
 
     println!("allocation (cores shed): market equilibrium vs centralized OPT");
     let mut market_cost = 0.0;
     for (i, (reduction, cost)) in clearing.reductions().iter().zip(&costs).enumerate() {
-        let opt_delta = optimal.reductions[i].1;
+        let opt_delta = optimal.reductions()[i];
         market_cost += cost.cost(*reduction);
         println!(
             "  user {} (α = {:>3.1}): market {:>5.3}, OPT {:>5.3}",
@@ -64,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\ntotal cost: market {:.4} vs OPT {:.4} — the equilibrium is socially optimal",
-        market_cost, optimal.total_cost
+        market_cost, optimal_cost
     );
     Ok(())
 }

@@ -115,21 +115,14 @@ fn scheduler_to_simulation_pipeline() {
 #[test]
 fn vcg_agrees_with_interactive_market() {
     use mpr_core::{
-        opt, vcg, CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism,
-        ParticipantSpec, QuadraticCost,
+        CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism, OptMethod,
+        ParticipantSpec, QuadraticCost, VcgMechanism,
     };
     let costs: Vec<QuadraticCost> = [1.0, 2.0, 3.0, 5.0]
         .iter()
         .map(|&a| QuadraticCost::new(a, 2.0))
         .collect();
     let target = Watts::new(400.0);
-    let opt_jobs: Vec<opt::OptJob<'_>> = costs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| opt::OptJob::new(i as u64, c, Watts::new(125.0)))
-        .collect();
-    let auction = vcg::auction(&opt_jobs, target, opt::OptMethod::Auto).unwrap();
-
     let instance: MarketInstance = costs
         .iter()
         .enumerate()
@@ -138,19 +131,24 @@ fn vcg_agrees_with_interactive_market() {
                 .with_cost(std::sync::Arc::new(*c))
         })
         .collect();
+    let auction = VcgMechanism::strict(OptMethod::Auto)
+        .clear(&instance, target)
+        .unwrap();
     let clearing = InteractiveMechanism::strict(InteractiveConfig::default())
         .clear(&instance, target)
         .unwrap();
 
-    for (award, reduction) in auction.awards.iter().zip(clearing.reductions()) {
+    for (i, (vcg, market)) in auction
+        .reductions()
+        .iter()
+        .zip(clearing.reductions())
+        .enumerate()
+    {
         assert!(
-            (award.reduction - reduction).abs() < 0.05,
-            "VCG {} vs market {} for job {}",
-            award.reduction,
-            reduction,
-            award.id
+            (vcg - market).abs() < 0.05,
+            "VCG {vcg} vs market {market} for job {i}"
         );
-        assert!(award.payment >= costs[award.id as usize].cost(award.reduction) - 1e-9);
+        assert!(auction.payment(i).get() >= costs[i].cost(*vcg) - 1e-9);
     }
 }
 
