@@ -352,9 +352,10 @@ pub(crate) fn fingerprint(sim: &Simulation<'_>) -> u64 {
         }
         None => e.u8(0),
     }
-    // The power-tree topology and the federated flag change every overload
-    // clearing (subtree targets, rack assignment), so a federated run can
-    // only resume under the bit-identical tree (checkpoint V4).
+    // The power-tree topology changes every overload clearing (subtree
+    // targets, rack assignment), so a federated run can only resume under
+    // the bit-identical tree (checkpoint V4). The trailing bool repeats
+    // "federated" as the V4 layout has it.
     match &cfg.topology {
         Some(t) => {
             e.u8(1);
@@ -362,7 +363,7 @@ pub(crate) fn fingerprint(sim: &Simulation<'_>) -> u64 {
         }
         None => e.u8(0),
     }
-    e.bool(cfg.federated);
+    e.bool(cfg.topology.is_some());
     // The grid-fault plan is a pure function of (plan, topology, t): no
     // fault state lives in `EngineState`, so fingerprinting the plan is
     // all that's needed for a bit-identical resume mid-fault-window —
@@ -1341,23 +1342,20 @@ mod tests {
         let path = tmp_ckpt("topology-mismatch");
         let writer = Simulation::new(
             &trace,
-            SimConfig::new(Algorithm::MprStat, 15.0).with_topology(spec.clone()),
+            SimConfig::new(Algorithm::MprStat, 15.0).with_topology(spec),
         );
         let plan = CheckpointPlan::every(&path, 400).with_kill_at(800);
         writer
             .run_with_checkpoints(&plan)
             .expect("checkpointed run");
-        // A different tree, a flat run, and a federated-flag-off run must
-        // all be refused at restore time.
+        // A different tree and a flat run must both be refused at restore
+        // time.
         let different_tree = Simulation::new(
             &trace,
             SimConfig::new(Algorithm::MprStat, 15.0).with_topology(other),
         );
         let flat = Simulation::new(&trace, SimConfig::new(Algorithm::MprStat, 15.0));
-        let mut flag_off_cfg = SimConfig::new(Algorithm::MprStat, 15.0).with_topology(spec);
-        flag_off_cfg.federated = false;
-        let flag_off = Simulation::new(&trace, flag_off_cfg);
-        for reader in [&different_tree, &flat, &flag_off] {
+        for reader in [&different_tree, &flat] {
             match reader.resume(&path) {
                 Err(CheckpointError::ConfigMismatch) => {}
                 other => panic!("expected ConfigMismatch, got {other:?}"),

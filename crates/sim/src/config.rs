@@ -459,16 +459,14 @@ pub struct SimConfig {
     /// fingerprint so a campaign resumed under a different generator-space
     /// version is rejected instead of silently diverging.
     pub scenario_space: Option<u32>,
-    /// Power-tree topology for federated clearing (`None` keeps the flat
-    /// single-constraint model). The spec's capacities are scaled so the
+    /// Power-tree topology for federated clearing: overload events clear
+    /// through the hierarchical federated market (one subtree market per
+    /// oversubscribed node) instead of one flat market. `None` keeps the
+    /// flat single-constraint model. The spec's capacities are scaled so the
     /// root matches the run's oversubscribed capacity; its fingerprint is
     /// folded into the checkpoint fingerprint, so a run can only resume
     /// under the identical tree.
     pub topology: Option<TopologySpec>,
-    /// Clear overload events through the hierarchical federated market
-    /// (one subtree market per oversubscribed node) instead of one flat
-    /// market. Requires [`SimConfig::topology`]; ignored without it.
-    pub federated: bool,
     /// Infrastructure faults over the power tree: UPS failures, derated
     /// ATS transfers, PDU breaker trips and gradual deratings with
     /// scheduled repairs (see [`GridFaultPlan`]). The schedule is a pure
@@ -505,7 +503,6 @@ impl std::fmt::Debug for SimConfig {
             .field("durability", &self.durability)
             .field("scenario_space", &self.scenario_space)
             .field("topology", &self.topology.as_ref().map(|t| t.name.as_str()))
-            .field("federated", &self.federated)
             .field("grid_fault", &self.grid_fault)
             .field("grid_fencing_disabled", &self.grid_fencing_disabled)
             .finish()
@@ -545,7 +542,6 @@ impl SimConfig {
             durability: None,
             scenario_space: None,
             topology: None,
-            federated: false,
             grid_fault: None,
             grid_fencing_disabled: false,
         }
@@ -652,12 +648,11 @@ impl SimConfig {
         self
     }
 
-    /// Installs a power-tree topology and enables federated clearing over
-    /// it (see [`SimConfig::topology`] and [`SimConfig::federated`]).
+    /// Installs a power-tree topology, which clears overload events
+    /// through the federated market over it (see [`SimConfig::topology`]).
     #[must_use]
     pub fn with_topology(mut self, spec: TopologySpec) -> Self {
         self.topology = Some(spec);
-        self.federated = true;
         self
     }
 
@@ -678,10 +673,10 @@ impl SimConfig {
     }
 
     /// `true` when overload events clear through the hierarchical
-    /// federated market (both the flag and a topology are present).
+    /// federated market (a topology is present).
     #[must_use]
     pub fn is_federated(&self) -> bool {
-        self.federated && self.topology.is_some()
+        self.topology.is_some()
     }
 
     /// The grid-fault plan in force: present, active, and backed by a

@@ -285,7 +285,7 @@ pub struct FederatedLevelStats {
 
 /// Federated-market totals, present when the run cleared overload events
 /// through a [`HierarchicalMarket`](mpr_power::HierarchicalMarket) over a
-/// power-tree topology (`SimConfig::topology` + `SimConfig::federated`).
+/// power-tree topology (`SimConfig::topology`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FederatedStats {
     /// Overload events cleared through the federated path.
@@ -428,7 +428,7 @@ pub struct SimReport {
 
     /// Federated-market totals, present when the run cleared overload
     /// events through a hierarchical market over a power-tree topology
-    /// (`SimConfig::topology` + `SimConfig::federated`).
+    /// (`SimConfig::topology`).
     pub federated: Option<FederatedStats>,
 }
 
