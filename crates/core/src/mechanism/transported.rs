@@ -60,7 +60,8 @@ struct Endpoint {
     /// Terminal endpoint crash observed, if any.
     crashed: Option<MarketError>,
     /// Idempotency cache: `(round, bid)` for the last round the agent
-    /// answered, replayed to retransmits and duplicates of that round.
+    /// answered, replayed to retransmits and duplicates of that round
+    /// while it is being collected.
     answered: Option<(usize, f64)>,
 }
 
@@ -209,12 +210,19 @@ impl<T: Transport> RoundCollector for TransportRounds<T> {
             }
             self.now = next.max(self.now);
 
-            // Deliver everything due; endpoints answer a repeat of the
-            // round they last answered from their idempotency cache.
+            // Deliver everything due. Only an announcement of the round
+            // being collected reaches the agent: a stale one, from an
+            // earlier round or clearing, gets no reply. Endpoints answer a
+            // repeat of the round they already answered from their
+            // idempotency cache, so an agent is asked once per round.
             let endpoints = &mut self.endpoints;
             let invalid = &mut self.diag.invalid_replies;
             let errors = &mut self.diag.errors;
+            let current = &rs;
             let replies = self.transport.advance(self.now, &mut |i, msg| {
+                if !current.get(i)?.sent.contains(&msg.msg_id) {
+                    return None;
+                }
                 let slot = slots.get_mut(i)?;
                 let endpoint = endpoints.get_mut(i)?;
                 let agent = slot.agent.job_id();
@@ -360,12 +368,15 @@ impl<T: Transport> RoundCollector for TransportRounds<T> {
 mod tests {
     use super::*;
     use crate::cost::QuadraticCost;
+    use crate::market::faults::CrashAgent;
+    use crate::market::interactive::BiddingAgent;
     use crate::market::interactive::{InteractiveConfig, NetGainAgent};
     use crate::market::transport::{NetFaultConfig, PerfectTransport, SimNet, TransportStats};
     use crate::mechanism::{
         InteractiveMechanism, MarketInstance, Mechanism, MechanismError, ParticipantSpec,
     };
     use crate::units::Watts;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn rational(id: u64, alpha: f64) -> NetGainAgent<QuadraticCost> {
@@ -570,5 +581,103 @@ mod tests {
         let c = m.clear(&inst, Watts::ZERO).unwrap();
         assert!(c.met_target());
         assert_eq!(c.price(), Price::ZERO);
+    }
+
+    /// Counts every `respond` call its inner agent receives.
+    struct Counting<A> {
+        inner: A,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl<A: BiddingAgent> BiddingAgent for Counting<A> {
+        fn job_id(&self) -> u64 {
+            self.inner.job_id()
+        }
+        fn watts_per_unit(&self) -> f64 {
+            self.inner.watts_per_unit()
+        }
+        fn delta_max(&self) -> f64 {
+            self.inner.delta_max()
+        }
+        fn respond(&mut self, price: f64) -> Result<f64, MarketError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.respond(price)
+        }
+    }
+
+    /// Duplicates and reorders, never drops: every announcement of a
+    /// round reaches its agent, some of them after the round closed.
+    fn dup_reorder(seed: u64) -> SimNet {
+        SimNet::new(
+            NetFaultConfig {
+                duplicate_prob: 0.4,
+                min_delay_ticks: 1,
+                max_delay_ticks: 6,
+                ..NetFaultConfig::default()
+            },
+            seed,
+        )
+    }
+
+    #[test]
+    fn each_agent_is_asked_once_per_round_it_answers() {
+        for seed in 0..20 {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let mut m = TransportedInteractiveMechanism::new(
+                ResilientConfig::default(),
+                TransportConfig::default(),
+                dup_reorder(seed),
+            );
+            for (i, a) in [1.0, 2.0, 4.0, 8.0].iter().enumerate() {
+                let inner = rational(i as u64, *a);
+                let calls = Arc::clone(&calls);
+                m.register(Box::new(Counting { inner, calls }), Some(0.2));
+            }
+            let inst = m.instance();
+            let mut answered = 0;
+            // Announcements of the first clearing still in flight surface
+            // during the second.
+            for target in [250.0, 300.0] {
+                let c = m.clear(&inst, Watts::new(target)).unwrap();
+                let t = c.diagnostics().transport.as_ref().unwrap();
+                assert_eq!(t.replies_accepted, 4 * t.rounds, "seed {seed}");
+                answered += t.replies_accepted;
+            }
+            assert_eq!(calls.load(Ordering::Relaxed), answered, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_crash_is_quarantined_whenever_it_is_raised() {
+        for seed in 0..20 {
+            for healthy in 1..8 {
+                let calls = Arc::new(AtomicUsize::new(0));
+                let mut m = TransportedInteractiveMechanism::new(
+                    ResilientConfig::default(),
+                    TransportConfig::default(),
+                    dup_reorder(seed),
+                );
+                for (i, a) in [1.0, 2.0, 4.0].iter().enumerate() {
+                    m.register(Box::new(rational(i as u64, *a)), Some(0.2));
+                }
+                let inner = CrashAgent::new(rational(3, 1.5), healthy);
+                let counted = Counting {
+                    inner,
+                    calls: Arc::clone(&calls),
+                };
+                m.register(Box::new(counted), Some(0.3));
+                let inst = m.instance();
+                let mut quarantined = false;
+                for target in [250.0, 300.0] {
+                    let c = m.clear(&inst, Watts::new(target)).unwrap();
+                    quarantined |= c.diagnostics().quarantined.iter().any(|q| q.id == 3);
+                    let crashed = calls.load(Ordering::Relaxed) > healthy;
+                    assert_eq!(
+                        crashed, quarantined,
+                        "seed {seed}, {healthy} healthy rounds, {target} W"
+                    );
+                }
+            }
+        }
     }
 }
