@@ -120,6 +120,13 @@ fn awards(
                     .filter(|(k, _)| *k != i)
                     .map(|(_, r)| *r),
             );
+            // A sole supplier's rivals attain nothing: the monopolist case.
+            if others.is_empty() {
+                return Err(MarketError::Infeasible {
+                    target_watts: target.get(),
+                    attainable_watts: 0.0,
+                });
+            }
             let without = optimal::solve(&others, target, method)?;
             let without_cost = optimal::total_cost(&others, &without);
             // Others' cost within the full optimum.
@@ -335,6 +342,28 @@ mod tests {
             auction(&[big, small], 500.0),
             Err(MechanismError::Market(MarketError::Infeasible { .. }))
         ));
+    }
+
+    #[test]
+    fn sole_supplier_is_infeasible_and_best_effort_caps() {
+        // The pivot re-solve has no rivals left: the target is out of
+        // their reach, not a market without participants.
+        let inst = instance(&[2.0]);
+        let target = Watts::new(50.0);
+        assert_eq!(
+            VcgMechanism::strict(OptMethod::Auto)
+                .clear(&inst, target)
+                .unwrap_err(),
+            MechanismError::Market(MarketError::Infeasible {
+                target_watts: 50.0,
+                attainable_watts: 0.0,
+            })
+        );
+        let c = VcgMechanism::best_effort(OptMethod::Auto)
+            .clear(&inst, target)
+            .unwrap();
+        assert!(c.diagnostics().capped_at_delta_max);
+        assert_eq!(c.reductions(), &[1.0]);
     }
 
     #[test]
