@@ -39,34 +39,6 @@ fn bench_best_effort(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_clearing_index(c: &mut Criterion) {
-    // The O(log M) closed-form clearing vs the bisection path. This is a
-    // data-structure micro-bench (the index backs MclrMechanism), so it
-    // stays on the raw ClearingIndex API.
-    let mut group = c.benchmark_group("clearing_index");
-    for &n in &[1_000usize, 30_000] {
-        let jobs = make_jobs(n);
-        let target = Watts::new(0.3 * attainable_watts(&jobs));
-        let participants: Vec<_> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| j.participant(i as u64))
-            .collect();
-        let index = mpr_core::ClearingIndex::new(&participants);
-        group.bench_with_input(BenchmarkId::new("clear", n), &n, |b, _| {
-            b.iter(|| index.clear(std::hint::black_box(target)).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("build_and_clear", n), &n, |b, _| {
-            b.iter(|| {
-                mpr_core::ClearingIndex::new(std::hint::black_box(&participants))
-                    .clear(target)
-                    .unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_opt(c: &mut Criterion) {
     let mut group = c.benchmark_group("opt_solve");
     group.sample_size(10);
@@ -103,7 +75,6 @@ criterion_group!(
     benches,
     bench_static_market,
     bench_best_effort,
-    bench_clearing_index,
     bench_opt,
     bench_eql
 );

@@ -4,9 +4,7 @@ use std::sync::Arc;
 
 use mpr_apps::{cpu_profiles, AppProfile, ProfileCost};
 use mpr_core::bidding::StaticStrategy;
-use mpr_core::{
-    CostModel, MarketInstance, Participant, ParticipantSpec, ScaledCost, SupplyFunction,
-};
+use mpr_core::{CostModel, MarketInstance, ParticipantSpec, ScaledCost, SupplyFunction};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -20,18 +18,6 @@ pub struct BenchJob {
     pub cost: ScaledCost<ProfileCost>,
     /// Cooperative MPR-STAT supply.
     pub supply: SupplyFunction,
-}
-
-impl BenchJob {
-    /// The market participant for this job.
-    #[must_use]
-    pub fn participant(&self, id: u64) -> Participant {
-        Participant::new(
-            id,
-            self.supply,
-            mpr_core::Watts::new(self.profile.unit_dynamic_power_w()),
-        )
-    }
 }
 
 /// Deterministic set of `n` jobs with random profiles and power-of-two
@@ -88,7 +74,6 @@ pub fn attainable_watts(jobs: &[BenchJob]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpr_core::CostModel;
 
     #[test]
     fn fixture_is_deterministic() {
@@ -101,19 +86,23 @@ mod tests {
     }
 
     #[test]
+    fn instance_uses_profile_power() {
+        let jobs = make_jobs(3);
+        let inst = make_instance(&jobs);
+        assert_eq!(inst.ids(), &[0, 1, 2]);
+        assert_eq!(
+            inst.watts_per_unit_slice()[0],
+            jobs[0].profile.unit_dynamic_power_w()
+        );
+        assert_eq!(inst.bid(0), Some(jobs[0].supply.bid()));
+        assert!(jobs[0].cost.delta_max() > 0.0);
+    }
+
+    #[test]
     fn attainable_is_positive_and_scales() {
         let a = attainable_watts(&make_jobs(10));
         let b = attainable_watts(&make_jobs(100));
         assert!(a > 0.0);
         assert!(b > 5.0 * a);
-    }
-
-    #[test]
-    fn participant_uses_profile_power() {
-        let jobs = make_jobs(3);
-        let p = jobs[0].participant(7);
-        assert_eq!(p.id, 7);
-        assert_eq!(p.watts_per_unit, jobs[0].profile.unit_dynamic_power_w());
-        assert!(jobs[0].cost.delta_max() > 0.0);
     }
 }

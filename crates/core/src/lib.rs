@@ -22,9 +22,10 @@
 //!   [`MarketInstance`] through the [`Mechanism`] trait
 //!   (`clear(&MarketInstance, target) -> Clearing`):
 //!   [`MclrMechanism`] (MPR-STAT: one bisection over bids fixed at job
-//!   submission), [`InteractiveMechanism`] (MPR-INT: the iterative
-//!   price/bid exchange that converges to a Nash equilibrium with socially
-//!   optimal cost), [`OptMechanism`], [`EqlMechanism`] and
+//!   submission, read straight from the instance's `Δ`, bid and
+//!   watts-per-unit columns), [`InteractiveMechanism`] (MPR-INT: the
+//!   iterative price/bid exchange that converges to a Nash equilibrium with
+//!   socially optimal cost), [`OptMechanism`], [`EqlMechanism`] and
 //!   [`VcgMechanism`], plus the composable [`FallbackChain`] degradation
 //!   ladder over the fault-tolerant exchanges.
 //! * [`OptMechanism`] — the centralized **OPT** benchmark (Eqns. 1–2)
@@ -33,6 +34,10 @@
 //!   payments and [`analysis::evaluate`] also run.
 //! * [`EqlMechanism`] — the performance-oblivious **EQL** benchmark that
 //!   slows every core down uniformly.
+//! * [`mclr`] — [`mclr::solve_supplies`], MClr over any [`Supply`] curve,
+//!   with which the supply-function ablation clears linear bids. The MClr
+//!   bisection over bid columns is crate-private; [`MclrMechanism`] is its
+//!   public entry.
 //! * [`market`] — the participant side: bidding agents, fault adapters,
 //!   the bid transport and the payment log.
 //! * [`json`] and [`codec`] — the workspace's one JSON codec and one
@@ -75,7 +80,6 @@ pub mod market;
 pub mod mclr;
 pub mod mechanism;
 pub mod numeric;
-pub mod participant;
 pub mod supply;
 pub mod units;
 
@@ -91,12 +95,10 @@ pub use market::transport::{
     NetFaultConfig, PerfectTransport, RetryPolicy, SimNet, Tick, Transport, TransportConfig,
     TransportDiagnostics, TransportError, TransportStats,
 };
-pub use mclr::ClearingIndex;
 pub use mechanism::{
     Clearing, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism,
     MarketInstance, MclrMechanism, Mechanism, MechanismError, OptMechanism, OptMethod,
     ParticipantSpec, ResilientInteractiveMechanism, TransportedInteractiveMechanism, VcgMechanism,
 };
-pub use participant::Participant;
 pub use supply::{LinearSupply, Supply, SupplyFunction};
 pub use units::{CoreHours, Cores, Price, Watts};

@@ -32,7 +32,7 @@
 
 use crate::error::MarketError;
 use crate::market::interactive::{BiddingAgent, InteractiveConfig};
-use crate::participant::JobId;
+use crate::mechanism::JobId;
 
 // ---------------------------------------------------------------------------
 // Deterministic seeding

@@ -7,7 +7,7 @@
 use crate::bidding;
 use crate::cost::CostModel;
 use crate::error::MarketError;
-use crate::participant::JobId;
+use crate::mechanism::JobId;
 use crate::units::{Price, Watts};
 
 /// A user-side software agent that answers price announcements with bids.

@@ -30,7 +30,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::error::MarketError;
 use crate::market::faults::SplitMix64;
-use crate::participant::JobId;
+use crate::mechanism::JobId;
 use crate::units::Price;
 
 /// Virtual time, in abstract ticks. One tick is "one scheduling quantum" of

@@ -4,42 +4,88 @@
 //! Because MClr has a single optimization variable `q` and the aggregate
 //! payoff is monotone in `q`, the optimum is
 //! `q' = min { q : Σ_m P(δ_m(q)) = P(t) − C }`, solvable by bisection
-//! (Section III-D, "Scalability"). This module implements exactly that.
+//! (Section III-D, "Scalability"). This module implements exactly that,
+//! reading the bids straight from a market's `Δ`, bid and watts-per-unit
+//! columns; [`MclrMechanism`](crate::MclrMechanism) is its public entry.
 
 use crate::error::MarketError;
 use crate::numeric;
-use crate::participant::Participant;
 use crate::units::{Price, Watts};
 
 /// Absolute floor for the clearing-price search bracket.
 const PRICE_EPS: f64 = 1e-12;
 
-/// Result of solving MClr.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MclrSolution {
-    /// The market clearing price `q'`.
-    pub price: Price,
-    /// Aggregate power reduction supplied at `q'`.
-    pub power: Watts,
+/// The columns an MClr solve reads: row `i` offers to shed up to
+/// `deltas[i]` units, bids `bids[i]`, and saves `watts_per_unit[i]` watts a
+/// unit. A row takes part when its bid is finite and its `Δ` is finite and
+/// non-negative; a negative bid counts as 0. Every fold visits the taking
+/// rows in row order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BidColumns<'a> {
+    deltas: &'a [f64],
+    bids: &'a [f64],
+    watts_per_unit: &'a [f64],
 }
 
-impl MclrSolution {
-    const ZERO: Self = Self {
-        price: Price::ZERO,
-        power: Watts::ZERO,
-    };
+impl<'a> BidColumns<'a> {
+    /// Borrows three parallel columns.
+    pub(crate) fn new(deltas: &'a [f64], bids: &'a [f64], watts_per_unit: &'a [f64]) -> Self {
+        debug_assert!(deltas.len() == bids.len() && bids.len() == watts_per_unit.len());
+        Self {
+            deltas,
+            bids,
+            watts_per_unit,
+        }
+    }
+
+    /// `(Δ, b, w)` of every taking row, in row order.
+    fn rows(self) -> impl Iterator<Item = (f64, f64, f64)> + 'a {
+        self.deltas
+            .iter()
+            .zip(self.bids)
+            .zip(self.watts_per_unit)
+            .filter(|((d, b), _)| b.is_finite() && d.is_finite() && **d >= 0.0)
+            .map(|((&d, &b), &w)| (d, b.max(0.0), w))
+    }
+
+    /// `true` when no row takes part.
+    pub(crate) fn is_empty(self) -> bool {
+        self.rows().next().is_none()
+    }
+
+    /// Aggregate power reduction supplied at price `q`.
+    fn power(self, q: f64) -> f64 {
+        self.rows().map(|(d, b, w)| supply(d, b, q) * w).sum()
+    }
+
+    /// Maximum aggregate power reduction (every row at its `Δ`).
+    fn attainable(self) -> f64 {
+        self.rows().map(|(d, _, w)| d * w).sum()
+    }
+
+    /// Each row's reduction `δ(q) = [Δ − b/q]⁺` at price `q`, 0 for a row
+    /// that does not take part.
+    pub(crate) fn reductions(self, price: Price) -> Vec<f64> {
+        self.deltas
+            .iter()
+            .zip(self.bids)
+            .map(|(&d, &b)| {
+                if b.is_finite() && d.is_finite() && d >= 0.0 {
+                    supply(d, b.max(0.0), price.get())
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
 }
 
-/// Aggregate power reduction supplied by `participants` at `price`.
-#[must_use]
-pub fn aggregate_power(participants: &[Participant], price: Price) -> Watts {
-    participants.iter().map(|p| p.power_at(price)).sum()
-}
-
-/// Maximum aggregate power reduction attainable (every job at its `Δ`).
-#[must_use]
-pub fn attainable_power(participants: &[Participant]) -> Watts {
-    participants.iter().map(Participant::max_power).sum()
+/// One row's supply `[Δ − b/q]⁺` at price `q`; nothing at `q ≤ 0`.
+fn supply(delta: f64, bid: f64, q: f64) -> f64 {
+    if q <= 0.0 {
+        return 0.0;
+    }
+    (delta - bid / q).max(0.0)
 }
 
 /// Solves MClr: the minimum price `q'` such that the aggregate supplied
@@ -47,40 +93,25 @@ pub fn attainable_power(participants: &[Participant]) -> Watts {
 ///
 /// A non-positive target clears trivially at price 0 with no reductions.
 ///
-/// ```
-/// use mpr_core::mclr;
-/// use mpr_core::{Participant, SupplyFunction, Watts};
-///
-/// # fn main() -> Result<(), mpr_core::MarketError> {
-/// // δ(q) = 1 − 0.5/q at 125 W per unit: 62.5 W requires δ = 0.5 → q' = 1.
-/// let ps = [Participant::new(0, SupplyFunction::new(1.0, 0.5)?, Watts::new(125.0))];
-/// let sol = mclr::solve(&ps, Watts::new(62.5))?;
-/// assert!((sol.price.get() - 1.0).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-///
 /// The price is found by doubling an upper bracket and bisecting it. When
-/// every row has a finite `Δ ≥ 0`, a finite `b ≥ 0` and a finite `w > 0`,
-/// [`aggregate_power`] is non-decreasing in the price bit for bit
-/// (correctly rounded `/`, `−`, `max`, `×` and the in-order `+` fold are
-/// each monotone). Such markets answer most of the search's queries from
-/// the tightest pair of exactly evaluated prices, one short of the target
-/// and one reaching it, seeded around a closed-form estimate: the search
-/// makes the same decisions, and returns the same bits, as one that
-/// evaluates every query.
+/// every taking row has a finite `w > 0`, the aggregate supply is
+/// non-decreasing in the price bit for bit (correctly rounded `/`, `−`,
+/// `max`, `×` and the in-order `+` fold are each monotone). Such markets
+/// answer most of the search's queries from the tightest pair of exactly
+/// evaluated prices, one short of the target and one reaching it, seeded
+/// around a closed-form estimate: the search makes the same decisions, and
+/// returns the same bits, as one that evaluates every query.
 ///
 /// # Errors
 ///
-/// * [`MarketError::NoParticipants`] if the market is empty and the target
+/// * [`MarketError::NoParticipants`] if no row takes part and the target
 ///   is positive.
 /// * [`MarketError::Infeasible`] if even the maximal supplies fall short of
 ///   the target, or if no price reaches it: the doubled bracket overflows,
 ///   or the aggregate supply stops rising while below the target. Callers
-///   that prefer best-effort capping should catch this and use
-///   [`clear_best_effort`].
-pub fn solve(participants: &[Participant], target: Watts) -> Result<MclrSolution, MarketError> {
-    search(participants, target).0
+///   that prefer best-effort capping use [`clear_best_effort`].
+pub(crate) fn solve(market: BidColumns<'_>, target: Watts) -> Result<Price, MarketError> {
+    search(market, target).0
 }
 
 /// Newton steps spent on the seed estimate; an estimate that has not
@@ -95,38 +126,34 @@ const SEED_REL_STEP: f64 = 128.0 * f64::EPSILON;
 /// widens the step 64-fold.
 const SEED_PROBES: usize = 4;
 
-/// [`solve`], also returning the number of O(n) [`aggregate_power`] folds
-/// it spent.
-fn search(
-    participants: &[Participant],
-    target: Watts,
-) -> (Result<MclrSolution, MarketError>, usize) {
+/// [`solve`], also returning the number of O(n) supply folds it spent.
+fn search(market: BidColumns<'_>, target: Watts) -> (Result<Price, MarketError>, usize) {
     if target <= Watts::ZERO {
-        return (Ok(MclrSolution::ZERO), 0);
+        return (Ok(Price::ZERO), 0);
     }
-    if participants.is_empty() {
+    if market.is_empty() {
         return (Err(MarketError::NoParticipants), 0);
     }
-    let attainable = attainable_power(participants);
+    let attainable = market.attainable();
     let infeasible = MarketError::Infeasible {
         target_watts: target.get(),
-        attainable_watts: attainable.get(),
+        attainable_watts: attainable,
     };
     // Tolerance: supplies only reach Δ in the limit q → ∞, so accept targets
     // within a hair of the attainable maximum and clear them at a large price.
-    if attainable < target * (1.0 - 1e-9) {
+    if attainable < target.get() * (1.0 - 1e-9) {
         return (Err(infeasible), 0);
     }
-    let scan = Scan::of(participants);
-    let mut power = Threshold::new(participants, target.get(), scan.monotone);
+    let scan = Scan::of(market);
+    let mut power = Threshold::new(market, target.get(), scan.monotone);
     if scan.monotone {
         // Monotone supply never exceeds its limit at q → ∞, which is the
         // attainable fold bit for bit (b/∞ = 0).
-        if attainable < target {
+        if attainable < target.get() {
             return (Err(infeasible), 0);
         }
         // Seeding pays for itself from a single row up (BENCHMARKS.md).
-        if let Some(q) = scan.estimate(participants, attainable.get(), target.get()) {
+        if let Some(q) = scan.estimate(market, attainable, target.get()) {
             power.seed(q);
         }
     }
@@ -137,15 +164,8 @@ fn search(
         return (Err(infeasible), power.folds);
     };
 
-    let q = match numeric::bisect_by(PRICE_EPS, hi, 1e-12, |q| power.reaches(q)) {
-        Ok(q) => Price::new(q),
-        Err(e) => return (Err(e), power.folds),
-    };
-    let sol = MclrSolution {
-        price: q,
-        power: aggregate_power(participants, q),
-    };
-    (Ok(sol), power.folds + 1)
+    let q = numeric::bisect_by(PRICE_EPS, hi, 1e-12, |q| power.reaches(q));
+    (q.map(Price::new), power.folds)
 }
 
 /// Doubles `hi` until `reaches` answers that the supply there is not short
@@ -177,11 +197,11 @@ fn upper_bracket(
     }
 }
 
-/// One pass over a market's rows: whether its supply is monotone in the
-/// price, and the inputs of the clearing-price estimate.
+/// One pass over a market's taking rows: whether its supply is monotone in
+/// the price, and the inputs of the clearing-price estimate.
 struct Scan {
-    /// Every row has a finite `Δ ≥ 0`, a finite `b ≥ 0` and a finite
-    /// `w > 0`.
+    /// Every taking row has a finite `w > 0` (its `Δ` and bid are finite
+    /// and non-negative by the row filter).
     monotone: bool,
     /// The largest activation price `b/Δ`, at least [`PRICE_EPS`].
     max_activation: f64,
@@ -192,25 +212,17 @@ struct Scan {
 }
 
 impl Scan {
-    fn of(participants: &[Participant]) -> Self {
+    fn of(market: BidColumns<'_>) -> Self {
         let mut scan = Self {
             monotone: true,
             max_activation: PRICE_EPS,
             bid_weight: 0.0,
             active: 0,
         };
-        for p in participants {
-            let (delta, bid, w) = (p.supply.delta_max(), p.supply.bid(), p.watts_per_unit);
-            scan.monotone &= delta.is_finite()
-                && delta >= 0.0
-                && bid.is_finite()
-                && bid >= 0.0
-                && w.is_finite()
-                && w > 0.0;
-            if let Some(a) = p.supply.activation_price() {
-                scan.max_activation = scan.max_activation.max(a.get());
-            }
+        for (delta, bid, w) in market.rows() {
+            scan.monotone &= w.is_finite() && w > 0.0;
             if delta > 0.0 {
+                scan.max_activation = scan.max_activation.max(bid / delta);
                 scan.bid_weight += w * bid;
                 scan.active += 1;
             }
@@ -225,7 +237,7 @@ impl Scan {
     /// rows' line, which never passes the true root; a step that keeps the
     /// active set has found it. `None` when no finite positive price
     /// results (a zero-bid market clears at any price).
-    fn estimate(&self, participants: &[Participant], attainable: f64, target: f64) -> Option<f64> {
+    fn estimate(&self, market: BidColumns<'_>, attainable: f64, target: f64) -> Option<f64> {
         let (mut u, mut p, mut slope, mut active) =
             (0.0f64, attainable, self.bid_weight, self.active);
         for _ in 0..SEED_NEWTON_STEPS {
@@ -235,11 +247,11 @@ impl Scan {
             u += (p - target) / slope;
             (p, slope) = (0.0, 0.0);
             let mut now_active = 0;
-            for x in participants {
-                let d = x.supply.delta_max() - x.supply.bid() * u;
+            for (delta, bid, w) in market.rows() {
+                let d = delta - bid * u;
                 if d > 0.0 {
-                    p += x.watts_per_unit * d;
-                    slope += x.watts_per_unit * x.supply.bid();
+                    p += w * d;
+                    slope += w * bid;
                     now_active += 1;
                 }
             }
@@ -253,13 +265,12 @@ impl Scan {
     }
 }
 
-/// The clearing search's `reaches` predicate, `aggregate_power(q) ≥
-/// target`. On a monotone market it keeps the tightest pair of exactly
-/// evaluated prices `(below, above)` and answers any query outside it
-/// without a fold: a price at or under `below` falls short, one at or over
-/// `above` reaches.
+/// The clearing search's `reaches` predicate, `power(q) ≥ target`. On a
+/// monotone market it keeps the tightest pair of exactly evaluated prices
+/// `(below, above)` and answers any query outside it without a fold: a
+/// price at or under `below` falls short, one at or over `above` reaches.
 struct Threshold<'a> {
-    participants: &'a [Participant],
+    market: BidColumns<'a>,
     target: f64,
     replay: bool,
     /// Largest price known to fall short; `P(0) = 0` does.
@@ -274,9 +285,9 @@ struct Threshold<'a> {
 }
 
 impl<'a> Threshold<'a> {
-    fn new(participants: &'a [Participant], target: f64, replay: bool) -> Self {
+    fn new(market: BidColumns<'a>, target: f64, replay: bool) -> Self {
         Self {
-            participants,
+            market,
             target,
             replay,
             below: 0.0,
@@ -295,7 +306,7 @@ impl<'a> Threshold<'a> {
                 return Some(true);
             }
         }
-        self.last = aggregate_power(self.participants, Price::new(q)).get();
+        self.last = self.market.power(q);
         self.folds += 1;
         let reached = numeric::reaches(self.last, self.target);
         if self.replay {
@@ -328,173 +339,35 @@ impl<'a> Threshold<'a> {
     }
 }
 
-/// Precomputed index over a fixed set of bids for *exact, closed-form*
-/// market clearing in `O(log M)` per overload.
-///
-/// With hyperbolic supplies the aggregate power reduction over the set of
-/// participants active at price `q` (those with activation price
-/// `b_i/Δ_i ≤ q`) is
-///
-/// ```text
-/// P(q) = Σ wᵢ·(Δᵢ − bᵢ/q) = A_k − B_k / q
-/// ```
-///
-/// where `A_k = Σ wᵢΔᵢ` and `B_k = Σ wᵢbᵢ` over the `k` cheapest
-/// activation prices. Sorting once by activation price and keeping prefix
-/// sums of `A` and `B` turns clearing into a binary search over segments
-/// plus one division — no bisection, no tolerance. This is how a production
-/// deployment would clear MPR-STAT markets at 100 kHz.
-#[derive(Debug, Clone)]
-pub struct ClearingIndex {
-    /// Activation prices, ascending.
-    activations: Vec<f64>,
-    /// Prefix sums of `w·Δ` in activation order (entry `k` covers the
-    /// first `k` participants).
-    prefix_a: Vec<f64>,
-    /// Prefix sums of `w·b` in activation order.
-    prefix_b: Vec<f64>,
-}
-
-impl ClearingIndex {
-    /// Builds the index over a set of participants.
-    #[must_use]
-    pub fn new(participants: &[Participant]) -> Self {
-        // Sort (activation, participant) pairs directly — no index
-        // round-trip, no NaN-hostile comparator (`new` validated the bids,
-        // and a missing activation maps to +∞ which `total_cmp` orders
-        // last).
-        let mut entries: Vec<(f64, &Participant)> = participants
-            .iter()
-            .map(|p| {
-                let act = p
-                    .supply
-                    .activation_price()
-                    .map_or(f64::INFINITY, Price::get);
-                (act, p)
-            })
-            .collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut activations = Vec::with_capacity(entries.len());
-        let mut prefix_a = Vec::with_capacity(entries.len() + 1);
-        let mut prefix_b = Vec::with_capacity(entries.len() + 1);
-        let (mut sum_a, mut sum_b) = (0.0f64, 0.0f64);
-        prefix_a.push(sum_a);
-        prefix_b.push(sum_b);
-        for (act, p) in entries {
-            activations.push(act);
-            sum_a += p.watts_per_unit * p.supply.delta_max();
-            sum_b += p.watts_per_unit * p.supply.bid();
-            prefix_a.push(sum_a);
-            prefix_b.push(sum_b);
-        }
-        Self {
-            activations,
-            prefix_a,
-            prefix_b,
-        }
-    }
-
-    /// Aggregate power reduction at price `q` (closed form).
-    #[must_use]
-    pub fn power_at(&self, price: Price) -> Watts {
-        let q = price.get();
-        if q <= 0.0 {
-            return Watts::ZERO;
-        }
-        // Number of participants with activation price <= q.
-        let k = self.activations.partition_point(|&a| a <= q);
-        let a = self.prefix_a.get(k).copied().unwrap_or(0.0);
-        let b = self.prefix_b.get(k).copied().unwrap_or(0.0);
-        Watts::new((a - b / q).max(0.0))
-    }
-
-    /// Solves MClr exactly: the minimal price meeting `target`.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`solve`]: [`MarketError::NoParticipants`] and
-    /// [`MarketError::Infeasible`].
-    pub fn clear(&self, target: Watts) -> Result<MclrSolution, MarketError> {
-        if target <= Watts::ZERO {
-            return Ok(MclrSolution::ZERO);
-        }
-        let n = self.activations.len();
-        if n == 0 {
-            return Err(MarketError::NoParticipants);
-        }
-        let target_watts = target.get();
-        let attainable = self.prefix_a.get(n).copied().unwrap_or(0.0);
-        if attainable < target_watts * (1.0 - 1e-9) {
-            return Err(MarketError::Infeasible {
-                target_watts,
-                attainable_watts: attainable,
-            });
-        }
-        // Binary search for the first segment whose right-endpoint power
-        // meets the target. Segment k spans [activations[k-1],
-        // activations[k]) with k participants active; the final segment is
-        // unbounded above.
-        let segment_end_power = |k: usize| -> f64 {
-            // Just below activations[k], k participants are active.
-            match self.activations.get(k) {
-                None => f64::INFINITY,
-                Some(&q) => {
-                    let a = self.prefix_a.get(k).copied().unwrap_or(0.0);
-                    let b = self.prefix_b.get(k).copied().unwrap_or(0.0);
-                    a - b / q
-                }
-            }
-        };
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if segment_end_power(mid + 1) >= target_watts {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        // Within segment `lo` (participants 0..=lo active): solve
-        // A − B/q = target → q = B / (A − target).
-        let k = lo + 1;
-        let a = self.prefix_a.get(k).copied().unwrap_or(0.0);
-        let b = self.prefix_b.get(k).copied().unwrap_or(0.0);
-        let activation_lo = self.activations.get(lo).copied().unwrap_or(0.0);
-        let price = if a > target_watts {
-            (b / (a - target_watts)).max(activation_lo).max(PRICE_EPS)
-        } else if b <= 0.0 {
-            // Zero-bid segment (prefix sums are non-negative): full supply
-            // at any price past activation.
-            activation_lo.max(PRICE_EPS)
-        } else {
-            // Target only attainable in the limit within this (final)
-            // segment: fall back to a large price.
-            (b / (a * 1e-9).max(f64::MIN_POSITIVE)).max(activation_lo)
-        };
-        let price = Price::new(price);
-        Ok(MclrSolution {
-            price,
-            power: self.power_at(price),
-        })
-    }
-}
-
 /// Generic MClr over arbitrary [`Supply`](crate::supply::Supply) curves —
-/// `items` pairs each curve with its watts-per-unit conversion. Used by the
-/// supply-function ablation to clear linear-supply markets with the same
-/// bisection machinery.
+/// `items` pairs each curve with its watts-per-unit conversion — returning
+/// the clearing price. Used by the supply-function ablation to clear
+/// linear-supply markets with the same bisection machinery.
+///
+/// ```
+/// use mpr_core::{mclr, LinearSupply, Watts};
+///
+/// # fn main() -> Result<(), mpr_core::MarketError> {
+/// // δ(q) = min(q, 1) at 125 W per unit: 62.5 W requires δ = 0.5 → q' = 0.5.
+/// let items = [(LinearSupply::new(1.0, 1.0)?, 125.0)];
+/// let price = mclr::solve_supplies(&items, Watts::new(62.5))?;
+/// assert!((price.get() - 0.5).abs() < 1e-6);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
-/// Same contract as [`solve`], except that a target no price reaches is
-/// only found [`MarketError::Infeasible`] once the doubled bracket
-/// overflows.
+/// * [`MarketError::NoParticipants`] if `items` is empty and the target is
+///   positive.
+/// * [`MarketError::Infeasible`] if even the maximal supplies fall short of
+///   the target, or once the doubled bracket overflows short of it.
 pub fn solve_supplies<S: crate::supply::Supply>(
     items: &[(S, f64)],
     target: Watts,
-) -> Result<MclrSolution, MarketError> {
+) -> Result<Price, MarketError> {
     if target <= Watts::ZERO {
-        return Ok(MclrSolution::ZERO);
+        return Ok(Price::ZERO);
     }
     if items.is_empty() {
         return Err(MarketError::NoParticipants);
@@ -517,11 +390,7 @@ pub fn solve_supplies<S: crate::supply::Supply>(
     }) else {
         return Err(infeasible);
     };
-    let q = numeric::bisect_threshold(PRICE_EPS, hi, target_watts, 1e-12, power_at)?;
-    Ok(MclrSolution {
-        price: Price::new(q),
-        power: Watts::new(power_at(q)),
-    })
+    numeric::bisect_threshold(PRICE_EPS, hi, target_watts, 1e-12, power_at).map(Price::new)
 }
 
 /// Factor applied to the highest activation price to form the manager's
@@ -533,39 +402,60 @@ const PRICE_CEILING_FACTOR: f64 = 1000.0;
 /// Best-effort variant of [`solve`] with a price ceiling: when the target
 /// is infeasible — or only reachable at an absurd price because it sits
 /// within a hair of the attainable maximum — the market clears at the
-/// ceiling (1000× the highest activation price), extracting essentially
-/// every participant's Δ. The manager covers any remaining shortfall with
-/// direct, market-bypassing power capping (Section III-F, "Malicious
-/// users"), which the simulator models as escalation.
-#[must_use]
-pub fn clear_best_effort(participants: &[Participant], target: Watts) -> MclrSolution {
-    let max_activation = participants
-        .iter()
-        .filter_map(|p| p.supply.activation_price())
-        .fold(0.0f64, |m, a| m.max(a.get()));
-    let ceiling = Price::new((PRICE_CEILING_FACTOR * max_activation).max(1.0));
-    match solve(participants, target) {
-        Ok(sol) if sol.price <= ceiling => sol,
-        _ => MclrSolution {
-            price: ceiling,
-            power: aggregate_power(participants, ceiling),
-        },
+/// ceiling (1000× the highest activation price, at least 1), extracting
+/// essentially every participant's Δ. The manager covers any remaining
+/// shortfall with direct, market-bypassing power capping (Section III-F,
+/// "Malicious users"), which the simulator models as escalation.
+pub(crate) fn clear_best_effort(market: BidColumns<'_>, target: Watts) -> Price {
+    // The scan's PRICE_EPS floor sits far below the ceiling's floor of 1.
+    let ceiling = Price::new((PRICE_CEILING_FACTOR * Scan::of(market).max_activation).max(1.0));
+    match solve(market, target) {
+        Ok(price) if price <= ceiling => price,
+        _ => ceiling,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supply::SupplyFunction;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    fn job(id: u64, delta: f64, bid: f64) -> Participant {
-        Participant::new(
-            id,
-            SupplyFunction::new(delta, bid).unwrap(),
-            Watts::new(125.0),
-        )
+    /// A market's owned `(Δ, b, w)` columns.
+    #[derive(Debug, Default)]
+    struct Market {
+        deltas: Vec<f64>,
+        bids: Vec<f64>,
+        watts: Vec<f64>,
+    }
+
+    impl Market {
+        fn of(rows: impl IntoIterator<Item = (f64, f64, f64)>) -> Self {
+            let mut m = Self::default();
+            for (d, b, w) in rows {
+                m.deltas.push(d);
+                m.bids.push(b);
+                m.watts.push(w);
+            }
+            m
+        }
+
+        /// Rows of `(Δ, b)` at 125 W a unit.
+        fn jobs(rows: &[(f64, f64)]) -> Self {
+            Self::of(rows.iter().map(|&(d, b)| (d, b, 125.0)))
+        }
+
+        fn cols(&self) -> BidColumns<'_> {
+            BidColumns::new(&self.deltas, &self.bids, &self.watts)
+        }
+
+        fn attainable(&self) -> Watts {
+            Watts::new(self.cols().attainable())
+        }
+
+        fn power(&self, price: Price) -> Watts {
+            Watts::new(self.cols().power(price.get()))
+        }
     }
 
     fn w(x: f64) -> Watts {
@@ -573,23 +463,42 @@ mod tests {
     }
 
     #[test]
+    fn power_is_supply_times_conversion() {
+        let m = Market::of([(2.0, 0.5, 125.0)]);
+        assert_eq!(m.attainable(), w(250.0));
+        let q = Price::new(1.0);
+        assert!((m.power(q).get() - (2.0 - 0.5) * 125.0).abs() < 1e-9);
+        assert_eq!(m.power(Price::ZERO), Watts::ZERO);
+        assert_eq!(m.cols().reductions(q), vec![1.5]);
+    }
+
+    #[test]
     fn trivial_target_clears_at_zero() {
-        let ps = vec![job(0, 1.0, 0.5)];
-        let sol = solve(&ps, w(0.0)).unwrap();
-        assert_eq!(sol.price, Price::ZERO);
-        assert_eq!(sol.power, Watts::ZERO);
-        assert_eq!(solve(&ps, w(-5.0)).unwrap().price, Price::ZERO);
+        let m = Market::jobs(&[(1.0, 0.5)]);
+        assert_eq!(solve(m.cols(), w(0.0)), Ok(Price::ZERO));
+        assert_eq!(solve(m.cols(), w(-5.0)), Ok(Price::ZERO));
+        assert_eq!(m.cols().reductions(Price::ZERO), vec![0.0]);
     }
 
     #[test]
     fn empty_market_with_positive_target_errs() {
-        assert_eq!(solve(&[], w(10.0)), Err(MarketError::NoParticipants));
+        let empty = Market::default();
+        assert_eq!(
+            solve(empty.cols(), w(10.0)),
+            Err(MarketError::NoParticipants)
+        );
+        // Rows the filter drops leave the market empty too.
+        let dropped = Market::jobs(&[(1.0, f64::NAN), (-1.0, 0.2), (f64::NAN, 0.2)]);
+        assert_eq!(
+            solve(dropped.cols(), w(10.0)),
+            Err(MarketError::NoParticipants)
+        );
     }
 
     #[test]
     fn infeasible_target_errs_with_attainable() {
-        let ps = vec![job(0, 1.0, 0.1)]; // max 125 W
-        match solve(&ps, w(500.0)) {
+        let m = Market::jobs(&[(1.0, 0.1)]); // max 125 W
+        match solve(m.cols(), w(500.0)) {
             Err(MarketError::Infeasible {
                 target_watts,
                 attainable_watts,
@@ -604,145 +513,81 @@ mod tests {
     #[test]
     fn single_job_price_matches_closed_form() {
         // δ(q) = 1 − 0.5/q; want 125·δ = 62.5 → δ = 0.5 → q = 1.0.
-        let ps = vec![job(0, 1.0, 0.5)];
-        let sol = solve(&ps, w(62.5)).unwrap();
-        assert!(
-            (sol.price.get() - 1.0).abs() < 1e-6,
-            "price = {}",
-            sol.price
-        );
-        assert!(sol.power >= w(62.5) * (1.0 - 1e-9));
+        let m = Market::jobs(&[(1.0, 0.5)]);
+        let price = solve(m.cols(), w(62.5)).unwrap();
+        assert!((price.get() - 1.0).abs() < 1e-6, "price = {price}");
+        assert!(m.power(price) >= w(62.5) * (1.0 - 1e-9));
     }
 
     #[test]
     fn cheaper_supplier_activates_first() {
         // Job 1 activates at q = 0.1, job 2 at q = 1.0. A small target should
         // clear below job 2's activation price: only job 1 reduces.
-        let ps = vec![job(1, 1.0, 0.1), job(2, 1.0, 1.0)];
-        let sol = solve(&ps, w(30.0)).unwrap();
-        assert!(sol.price.get() < 1.0);
-        assert_eq!(ps[1].supply.supply(sol.price), 0.0);
-        assert!(ps[0].supply.supply(sol.price) > 0.0);
+        let m = Market::jobs(&[(1.0, 0.1), (1.0, 1.0)]);
+        let price = solve(m.cols(), w(30.0)).unwrap();
+        assert!(price.get() < 1.0);
+        let r = m.cols().reductions(price);
+        assert_eq!(r[1], 0.0);
+        assert!(r[0] > 0.0);
     }
 
     #[test]
     fn near_attainable_target_clears_at_high_price() {
-        let ps = vec![job(0, 1.0, 0.5)];
-        let attainable = attainable_power(&ps);
-        let sol = solve(&ps, attainable * (1.0 - 1e-10)).unwrap();
-        assert!(sol.power >= attainable * (1.0 - 1e-6));
+        let m = Market::jobs(&[(1.0, 0.5)]);
+        let attainable = m.attainable();
+        let price = solve(m.cols(), attainable * (1.0 - 1e-10)).unwrap();
+        assert!(m.power(price) >= attainable * (1.0 - 1e-6));
     }
 
     #[test]
     fn best_effort_caps_everyone_when_infeasible() {
-        let ps = vec![job(0, 1.0, 0.1), job(1, 2.0, 0.3)];
-        let sol = clear_best_effort(&ps, w(1e9));
-        let attainable = attainable_power(&ps);
+        let m = Market::jobs(&[(1.0, 0.1), (2.0, 0.3)]);
+        let price = clear_best_effort(m.cols(), w(1e9));
+        let attainable = m.attainable();
         // The price ceiling extracts every Δ to within 0.1 %.
-        assert!(sol.power >= attainable * (1.0 - 2e-3));
+        assert!(m.power(price) >= attainable * (1.0 - 2e-3));
         // ...at a bounded price: 1000× the highest activation price.
-        assert!(
-            sol.price.get() <= 1000.0 * 0.3 + 1e-9,
-            "price = {}",
-            sol.price
-        );
+        assert!(price.get() <= 1000.0 * 0.3 + 1e-9, "price = {price}");
     }
 
     #[test]
     fn best_effort_caps_absurd_feasible_prices_too() {
         // Target within 1e-12 of the attainable max: the exact clearing
         // price would be astronomical; the ceiling bounds it.
-        let ps = vec![job(0, 1.0, 0.5)];
-        let attainable = attainable_power(&ps);
-        let sol = clear_best_effort(&ps, attainable * (1.0 - 1e-12));
-        assert!(sol.price.get() <= 1000.0 * 0.5 + 1e-9);
-        assert!(sol.power >= attainable * (1.0 - 2e-3));
+        let m = Market::jobs(&[(1.0, 0.5)]);
+        let attainable = m.attainable();
+        let price = clear_best_effort(m.cols(), attainable * (1.0 - 1e-12));
+        assert!(price.get() <= 1000.0 * 0.5 + 1e-9);
+        assert!(m.power(price) >= attainable * (1.0 - 2e-3));
     }
 
     #[test]
     fn best_effort_matches_solve_when_feasible() {
-        let ps = vec![job(0, 1.0, 0.5)];
-        let a = solve(&ps, w(62.5)).unwrap();
-        let b = clear_best_effort(&ps, w(62.5));
-        assert!((a.price.get() - b.price.get()).abs() < 1e-12);
+        let m = Market::jobs(&[(1.0, 0.5)]);
+        let a = solve(m.cols(), w(62.5)).unwrap();
+        let b = clear_best_effort(m.cols(), w(62.5));
+        assert!((a.get() - b.get()).abs() < 1e-12);
     }
 
     #[test]
     fn zero_bids_clear_at_epsilon_price() {
-        let ps = vec![job(0, 1.0, 0.0), job(1, 1.0, 0.0)];
-        let sol = solve(&ps, w(200.0)).unwrap();
-        assert!(sol.price.get() <= 1e-6, "price = {}", sol.price);
-        assert!(sol.power >= w(200.0) * (1.0 - 1e-9));
-    }
-
-    #[test]
-    fn index_matches_bisection_on_simple_market() {
-        let ps = vec![job(0, 1.0, 0.2), job(1, 2.0, 0.5), job(2, 0.5, 0.1)];
-        let idx = ClearingIndex::new(&ps);
-        for target in [10.0, 50.0, 150.0, 300.0, 430.0] {
-            let a = solve(&ps, w(target)).unwrap();
-            let b = idx.clear(w(target)).unwrap();
-            assert!(
-                (a.price.get() - b.price.get()).abs() < 1e-6 * a.price.get().max(1.0),
-                "target {target}: bisection {} vs closed form {}",
-                a.price,
-                b.price
-            );
-            assert!(b.power >= w(target) * (1.0 - 1e-9));
-        }
-    }
-
-    #[test]
-    fn index_error_cases_mirror_solve() {
-        let idx = ClearingIndex::new(&[]);
-        assert!(matches!(
-            idx.clear(w(1.0)),
-            Err(MarketError::NoParticipants)
-        ));
-        assert_eq!(idx.clear(w(0.0)).unwrap().price, Price::ZERO);
-        let idx = ClearingIndex::new(&[job(0, 1.0, 0.2)]);
-        assert!(matches!(
-            idx.clear(w(1e6)),
-            Err(MarketError::Infeasible { .. })
-        ));
-    }
-
-    #[test]
-    fn index_handles_zero_bids() {
-        let ps = vec![job(0, 1.0, 0.0), job(1, 1.0, 0.0)];
-        let idx = ClearingIndex::new(&ps);
-        let sol = idx.clear(w(200.0)).unwrap();
-        assert!(sol.power >= w(200.0) * (1.0 - 1e-9));
-        assert!(sol.price.get() <= 1e-6);
-    }
-
-    #[test]
-    fn index_survives_nan_poisoned_activation_order() {
-        // A NaN watts_per_unit must not panic the index build (the old
-        // `partial_cmp().unwrap()` comparator did); the poisoned entry
-        // sorts deterministically via `total_cmp` instead.
-        let mut ps = vec![job(0, 1.0, 0.2), job(1, 2.0, 0.5)];
-        ps.push(Participant::new(
-            2,
-            SupplyFunction::new(1.0, 0.3).unwrap(),
-            Watts::new(f64::NAN),
-        ));
-        let idx = ClearingIndex::new(&ps);
-        // Clearing still answers (the NaN propagates into the power sums,
-        // but building and querying the index is panic-free).
-        let _ = idx.clear(w(50.0));
-        let _ = idx.power_at(Price::new(1.0));
+        let m = Market::jobs(&[(1.0, 0.0), (1.0, 0.0)]);
+        let price = solve(m.cols(), w(200.0)).unwrap();
+        assert!(price.get() <= 1e-6, "price = {price}");
+        assert!(m.power(price) >= w(200.0) * (1.0 - 1e-9));
     }
 
     #[test]
     fn generic_solve_matches_specialized_for_hyperbolic_supplies() {
-        let ps = vec![job(0, 1.0, 0.2), job(1, 2.0, 0.5)];
-        let items: Vec<(crate::supply::SupplyFunction, f64)> =
-            ps.iter().map(|p| (p.supply, p.watts_per_unit)).collect();
-        let a = solve(&ps, w(150.0)).unwrap();
+        let rows = [(1.0, 0.2), (2.0, 0.5)];
+        let m = Market::jobs(&rows);
+        let items: Vec<(crate::supply::SupplyFunction, f64)> = rows
+            .iter()
+            .map(|&(d, b)| (crate::supply::SupplyFunction::new(d, b).unwrap(), 125.0))
+            .collect();
+        let a = solve(m.cols(), w(150.0)).unwrap();
         let b = solve_supplies(&items, w(150.0)).unwrap();
-        assert!((a.price.get() - b.price.get()).abs() < 1e-9);
-        assert!((a.power.get() - b.power.get()).abs() < 1e-6);
+        assert!((a.get() - b.get()).abs() < 1e-9);
     }
 
     #[test]
@@ -754,13 +599,9 @@ mod tests {
         ];
         // At price q: supply = q + q/2 (pre-saturation); want 93.75 W
         // = 0.75 cores → q = 0.5.
-        let sol = solve_supplies(&items, w(93.75)).unwrap();
-        assert!(
-            (sol.price.get() - 0.5).abs() < 1e-6,
-            "price = {}",
-            sol.price
-        );
-        assert!((items[0].0.supply(sol.price.get()) - 0.5).abs() < 1e-6);
+        let price = solve_supplies(&items, w(93.75)).unwrap();
+        assert!((price.get() - 0.5).abs() < 1e-6, "price = {price}");
+        assert!((items[0].0.supply(price.get()) - 0.5).abs() < 1e-6);
         // Errors mirror the specialized solver.
         assert!(matches!(
             solve_supplies(&items, w(1e9)),
@@ -771,7 +612,7 @@ mod tests {
             solve_supplies(&empty, w(1.0)),
             Err(MarketError::NoParticipants)
         ));
-        assert_eq!(solve_supplies(&items, w(0.0)).unwrap().price, Price::ZERO);
+        assert_eq!(solve_supplies(&items, w(0.0)), Ok(Price::ZERO));
     }
 
     #[test]
@@ -788,9 +629,8 @@ mod tests {
 
     #[test]
     fn target_just_above_attainable_is_infeasible_in_few_folds() {
-        let ps = vec![job(0, 1.0, 0.5)];
         let target = w(125.0 * (1.0 + 5e-10));
-        let (res, folds) = search(&ps, target);
+        let (res, folds) = search(Market::jobs(&[(1.0, 0.5)]).cols(), target);
         assert!(
             matches!(res, Err(MarketError::Infeasible { .. })),
             "{res:?}"
@@ -798,40 +638,27 @@ mod tests {
         assert!(folds <= 2, "{folds} folds");
         // A row with w = 0 leaves the monotone path; the doubling still
         // stops once the supply stops rising.
-        let mut ps = ps;
-        ps.push(Participant::new(
-            1,
-            SupplyFunction::new(1.0, 0.5).unwrap(),
-            w(0.0),
-        ));
-        let (res, folds) = search(&ps, target);
+        let m = Market::of([(1.0, 0.5, 125.0), (1.0, 0.5, 0.0)]);
+        let (res, folds) = search(m.cols(), target);
         assert!(
             matches!(res, Err(MarketError::Infeasible { .. })),
             "{res:?}"
         );
         assert!(folds <= 80, "{folds} folds");
         // Best effort still clears at the ceiling, 1000× the activation.
-        let sol = clear_best_effort(&ps, target);
-        assert_eq!(sol.price, Price::new(500.0));
-        assert_eq!(sol.power, aggregate_power(&ps, Price::new(500.0)));
+        assert_eq!(clear_best_effort(m.cols(), target), Price::new(500.0));
     }
 
     #[test]
     fn seeded_search_spends_few_folds() {
-        let ps: Vec<Participant> = (0..128u32)
-            .map(|i| {
-                let x = f64::from(i);
-                Participant::new(
-                    i.into(),
-                    SupplyFunction::new(0.2 + (x * 0.37) % 0.8, (x * 0.61) % 0.9).unwrap(),
-                    w(100.0 + x),
-                )
-            })
-            .collect();
-        let attainable = attainable_power(&ps);
+        let m = Market::of((0..128u32).map(|i| {
+            let x = f64::from(i);
+            (0.2 + (x * 0.37) % 0.8, (x * 0.61) % 0.9, 100.0 + x)
+        }));
+        let attainable = m.attainable();
         for frac in [0.01, 0.2, 0.5, 0.9] {
-            let (res, folds) = search(&ps, attainable * frac);
-            assert_eq!(res, plain_solve(&ps, attainable * frac));
+            let (res, folds) = search(m.cols(), attainable * frac);
+            assert_eq!(res, plain_solve(m.cols(), attainable * frac));
             assert!(folds <= 12, "{folds} folds at {frac}");
         }
     }
@@ -839,34 +666,30 @@ mod tests {
     /// The search without replay: every query is a fresh fold, and the
     /// doubling stops with `Infeasible` once the bracket overflows or, on a
     /// market that is not monotone, once the supply stops rising.
-    fn plain_solve(ps: &[Participant], target: Watts) -> Result<MclrSolution, MarketError> {
+    fn plain_solve(m: BidColumns<'_>, target: Watts) -> Result<Price, MarketError> {
         if target <= Watts::ZERO {
-            return Ok(MclrSolution::ZERO);
+            return Ok(Price::ZERO);
         }
-        if ps.is_empty() {
+        if m.is_empty() {
             return Err(MarketError::NoParticipants);
         }
-        let attainable = attainable_power(ps);
+        let attainable = m.attainable();
         let infeasible = MarketError::Infeasible {
             target_watts: target.get(),
-            attainable_watts: attainable.get(),
+            attainable_watts: attainable,
         };
-        if attainable < target * (1.0 - 1e-9) {
+        if attainable < target.get() * (1.0 - 1e-9) {
             return Err(infeasible);
         }
-        let monotone = ps.iter().all(|p| {
-            let (d, b, w) = (p.supply.delta_max(), p.supply.bid(), p.watts_per_unit);
-            d.is_finite() && d >= 0.0 && b.is_finite() && b >= 0.0 && w.is_finite() && w > 0.0
-        });
-        let mut hi = ps
-            .iter()
-            .filter_map(|p| p.supply.activation_price())
-            .fold(PRICE_EPS, |m, a| m.max(a.get()))
-            .max(PRICE_EPS)
+        let monotone = m.rows().all(|(_, _, w)| w.is_finite() && w > 0.0);
+        let mut hi = m
+            .rows()
+            .filter(|(d, _, _)| *d > 0.0)
+            .fold(PRICE_EPS, |a, (d, b, _)| a.max(b / d))
             * 2.0;
-        let mut last: Option<Watts> = None;
-        while aggregate_power(ps, Price::new(hi)) < target {
-            let p = aggregate_power(ps, Price::new(hi));
+        let mut last: Option<f64> = None;
+        while m.power(hi) < target.get() {
+            let p = m.power(hi);
             if !monotone && last.is_some_and(|l| p <= l) {
                 return Err(infeasible);
             }
@@ -876,46 +699,38 @@ mod tests {
                 return Err(infeasible);
             }
         }
-        let q = numeric::bisect_threshold(PRICE_EPS, hi, target.get(), 1e-12, |q| {
-            aggregate_power(ps, Price::new(q)).get()
-        })?;
-        Ok(MclrSolution {
-            price: Price::new(q),
-            power: aggregate_power(ps, Price::new(q)),
-        })
+        numeric::bisect_threshold(PRICE_EPS, hi, target.get(), 1e-12, |q| m.power(q))
+            .map(Price::new)
     }
 
     /// [`clear_best_effort`] over [`plain_solve`].
-    fn plain_best_effort(ps: &[Participant], target: Watts) -> MclrSolution {
-        let max_activation = ps
-            .iter()
-            .filter_map(|p| p.supply.activation_price())
-            .fold(0.0f64, |m, a| m.max(a.get()));
+    fn plain_best_effort(m: BidColumns<'_>, target: Watts) -> Price {
+        let max_activation = m
+            .rows()
+            .filter(|(d, _, _)| *d > 0.0)
+            .fold(0.0f64, |a, (d, b, _)| a.max(b / d));
         let ceiling = Price::new((PRICE_CEILING_FACTOR * max_activation).max(1.0));
-        match plain_solve(ps, target) {
-            Ok(sol) if sol.price <= ceiling => sol,
-            _ => MclrSolution {
-                price: ceiling,
-                power: aggregate_power(ps, ceiling),
-            },
+        match plain_solve(m, target) {
+            Ok(price) if price <= ceiling => price,
+            _ => ceiling,
         }
     }
 
     /// A market row: `kind` picks a zero Δ, a zero bid or one of three
     /// tied bids a fifth of the time each, else a free bid; `w` is
     /// 10^`log_w`.
-    fn row(i: usize, (kind, delta, bid, log_w): (u8, f64, f64, f64), w_sign: f64) -> Participant {
+    fn row(
+        i: usize,
+        (kind, delta, bid, log_w): (u8, f64, f64, f64),
+        w_sign: f64,
+    ) -> (f64, f64, f64) {
         let (delta, bid) = match kind {
             0 => (0.0, bid),
             1 => (delta, 0.0),
             2 => (delta, [0.1, 0.25, 0.5][i % 3] * delta),
             _ => (delta, bid),
         };
-        Participant::new(
-            i as u64,
-            SupplyFunction::new(delta, bid).unwrap(),
-            Watts::new(w_sign * 10f64.powf(log_w)),
-        )
+        (delta, bid, w_sign * 10f64.powf(log_w))
     }
 
     /// A target as a fraction of the attainable supply: 10^-9 up to 1,
@@ -931,33 +746,41 @@ mod tests {
     }
 
     fn assert_same(
-        a: &Result<MclrSolution, MarketError>,
-        b: &Result<MclrSolution, MarketError>,
+        a: &Result<Price, MarketError>,
+        b: &Result<Price, MarketError>,
     ) -> Result<(), TestCaseError> {
         match (a, b) {
-            (Ok(x), Ok(y)) => {
-                prop_assert_eq!(x.price.get().to_bits(), y.price.get().to_bits());
-                prop_assert_eq!(x.power.get().to_bits(), y.power.get().to_bits());
-            }
+            (Ok(x), Ok(y)) => prop_assert_eq!(x.get().to_bits(), y.get().to_bits()),
             _ => prop_assert_eq!(a, b),
         }
         Ok(())
     }
 
+    /// Every row kind the filter drops: a non-finite bid, or a `Δ` that is
+    /// negative or not finite.
+    const DROPPED: [(f64, f64); 6] = [
+        (1.0, f64::NAN),
+        (1.0, f64::INFINITY),
+        (1.0, f64::NEG_INFINITY),
+        (-1.0, 0.2),
+        (f64::NAN, 0.2),
+        (f64::INFINITY, 0.2),
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The replayed search decides every query as plain bisection
-        /// does: the same price and power bits, the same errors.
+        /// does: the same price bits, the same errors.
         #[test]
         fn replayed_solve_equals_plain_bisection(
             rows in proptest::collection::vec((0u8..5, 0.01f64..2.0, 0.0f64..1.0, -3.0f64..4.0), 1..300),
             target in (0u8..10, -9.0f64..0.0),
         ) {
-            let ps: Vec<Participant> = rows.iter().enumerate().map(|(i, &r)| row(i, r, 1.0)).collect();
-            let target = target_of(attainable_power(&ps), target);
-            assert_same(&solve(&ps, target), &plain_solve(&ps, target))?;
-            let (a, b) = (clear_best_effort(&ps, target), plain_best_effort(&ps, target));
+            let m = Market::of(rows.iter().enumerate().map(|(i, &r)| row(i, r, 1.0)));
+            let target = target_of(m.attainable(), target);
+            assert_same(&solve(m.cols(), target), &plain_solve(m.cols(), target))?;
+            let (a, b) = (clear_best_effort(m.cols(), target), plain_best_effort(m.cols(), target));
             assert_same(&Ok(a), &Ok(b))?;
         }
 
@@ -969,43 +792,58 @@ mod tests {
             signs in proptest::collection::vec(0u8..4, 60),
             target in (0u8..10, -9.0f64..0.0),
         ) {
-            let ps: Vec<Participant> = rows
-                .iter()
-                .zip(&signs)
-                .enumerate()
-                .map(|(i, (&r, &s))| row(i, r, [1.0, 1.0, -1.0, 0.0][usize::from(s)]))
-                .collect();
-            let target = target_of(attainable_power(&ps), target);
-            assert_same(&solve(&ps, target), &plain_solve(&ps, target))?;
-            let (a, b) = (clear_best_effort(&ps, target), plain_best_effort(&ps, target));
+            let m = Market::of(
+                rows.iter()
+                    .zip(&signs)
+                    .enumerate()
+                    .map(|(i, (&r, &s))| row(i, r, [1.0, 1.0, -1.0, 0.0][usize::from(s)])),
+            );
+            let target = target_of(m.attainable(), target);
+            assert_same(&solve(m.cols(), target), &plain_solve(m.cols(), target))?;
+            let (a, b) = (clear_best_effort(m.cols(), target), plain_best_effort(m.cols(), target));
             assert_same(&Ok(a), &Ok(b))?;
+        }
+
+        /// Rows the filter drops change no bit of the clearing, and reduce
+        /// nothing; a negative bid clears as a zero bid.
+        #[test]
+        fn dropped_rows_clear_as_if_absent(
+            rows in proptest::collection::vec((0u8..5, 0.01f64..2.0, 0.0f64..1.0, -3.0f64..4.0), 1..60),
+            dropped in proptest::collection::vec((0usize..6, 0usize..60), 0..8),
+            negative in proptest::collection::vec(0usize..60, 0..4),
+            target in (0u8..10, -9.0f64..0.0),
+        ) {
+            let kept: Vec<(f64, f64, f64)> =
+                rows.iter().enumerate().map(|(i, &r)| row(i, r, 1.0)).collect();
+            let mut mixed = kept.clone();
+            for &i in &negative {
+                if let Some(r) = mixed.get_mut(i) {
+                    if r.1 == 0.0 {
+                        r.1 = -0.5;
+                    }
+                }
+            }
+            let mut positions = Vec::new();
+            for &(kind, at) in &dropped {
+                let at = at.min(mixed.len());
+                let (d, b) = DROPPED[kind];
+                mixed.insert(at, (d, b, 125.0));
+                positions.iter_mut().for_each(|p: &mut usize| if *p >= at { *p += 1 });
+                positions.push(at);
+            }
+            let (kept, mixed) = (Market::of(kept), Market::of(mixed));
+            let target = target_of(kept.attainable(), target);
+            assert_same(&solve(mixed.cols(), target), &solve(kept.cols(), target))?;
+            let price = clear_best_effort(mixed.cols(), target);
+            assert_same(&Ok(price), &Ok(clear_best_effort(kept.cols(), target)))?;
+            let reductions = mixed.cols().reductions(price);
+            for &p in &positions {
+                prop_assert_eq!(reductions[p], 0.0);
+            }
         }
     }
 
     proptest! {
-        /// The closed-form index clears identically to bisection on random
-        /// markets.
-        #[test]
-        fn index_equals_bisection(
-            bids in proptest::collection::vec((0.01f64..2.0, 0.0f64..1.0), 1..30),
-            frac in 0.05f64..0.95,
-        ) {
-            let ps: Vec<Participant> = bids
-                .iter()
-                .enumerate()
-                .map(|(i, (delta, bid))| job(i as u64, *delta, *bid))
-                .collect();
-            let target = attainable_power(&ps) * frac;
-            prop_assume!(target > Watts::ZERO);
-            let a = solve(&ps, target).unwrap();
-            let b = ClearingIndex::new(&ps).clear(target).unwrap();
-            prop_assert!(
-                (a.price.get() - b.price.get()).abs() < 1e-6 * a.price.get().max(1.0),
-                "bisection {} vs closed form {}", a.price, b.price
-            );
-            prop_assert!(b.power >= target * (1.0 - 1e-6));
-        }
-
         /// The clearing price is minimal: slightly below it the market
         /// under-delivers; at it, the target is met.
         #[test]
@@ -1013,16 +851,12 @@ mod tests {
             bids in proptest::collection::vec((0.01f64..2.0, 0.0f64..1.0), 1..20),
             frac in 0.05f64..0.95,
         ) {
-            let ps: Vec<Participant> = bids
-                .iter()
-                .enumerate()
-                .map(|(i, (delta, bid))| job(i as u64, *delta, *bid))
-                .collect();
-            let target = attainable_power(&ps) * frac;
+            let m = Market::jobs(&bids);
+            let target = m.attainable() * frac;
             prop_assume!(target > Watts::ZERO);
-            let sol = solve(&ps, target).unwrap();
-            prop_assert!(sol.power >= target * (1.0 - 1e-6));
-            let below = aggregate_power(&ps, sol.price * (1.0 - 1e-6));
+            let price = solve(m.cols(), target).unwrap();
+            prop_assert!(m.power(price) >= target * (1.0 - 1e-6));
+            let below = m.power(price * (1.0 - 1e-6));
             prop_assert!(below <= target * (1.0 + 1e-6),
                 "price not minimal: below={below} target={target}");
         }
@@ -1035,21 +869,17 @@ mod tests {
             bids in proptest::collection::vec((0.01f64..2.0, 0.01f64..1.0), 1..30),
             frac in 0.05f64..0.95,
         ) {
-            let ps: Vec<Participant> = bids
-                .iter()
-                .enumerate()
-                .map(|(i, (delta, bid))| job(i as u64, *delta, *bid))
-                .collect();
-            let target = attainable_power(&ps) * frac;
+            let m = Market::jobs(&bids);
+            let target = m.attainable() * frac;
             prop_assume!(target > Watts::ZERO);
-            let sol = solve(&ps, target).unwrap();
+            let power = m.power(solve(m.cols(), target).unwrap());
             prop_assert!(
-                sol.power >= target * (1.0 - 1e-6),
-                "under-delivered: {} < {target}", sol.power
+                power >= target * (1.0 - 1e-6),
+                "under-delivered: {power} < {target}"
             );
             prop_assert!(
-                sol.power.get() <= target.get() * 1.01 + 1e-3,
-                "overshot the minimal clearing: {} vs {target}", sol.power
+                power.get() <= target.get() * 1.01 + 1e-3,
+                "overshot the minimal clearing: {power} vs {target}"
             );
         }
 
@@ -1061,12 +891,8 @@ mod tests {
             frac_lo in 0.05f64..0.95,
             frac_hi in 0.05f64..0.95,
         ) {
-            let ps: Vec<Participant> = bids
-                .iter()
-                .enumerate()
-                .map(|(i, (delta, bid))| job(i as u64, *delta, *bid))
-                .collect();
-            let attainable = attainable_power(&ps);
+            let m = Market::jobs(&bids);
+            let attainable = m.attainable();
             let (lo, hi) = if frac_lo <= frac_hi {
                 (frac_lo, frac_hi)
             } else {
@@ -1074,15 +900,16 @@ mod tests {
             };
             let (t_lo, t_hi) = (attainable * lo, attainable * hi);
             prop_assume!(t_lo > Watts::ZERO);
-            let a = solve(&ps, t_lo).unwrap();
-            let b = solve(&ps, t_hi).unwrap();
+            let a = solve(m.cols(), t_lo).unwrap();
+            let b = solve(m.cols(), t_hi).unwrap();
             prop_assert!(
-                a.price.get() <= b.price.get() * (1.0 + 1e-9) + 1e-9,
-                "price not monotone: {} @ {t_lo} vs {} @ {t_hi}", a.price, b.price
+                a.get() <= b.get() * (1.0 + 1e-9) + 1e-9,
+                "price not monotone: {a} @ {t_lo} vs {b} @ {t_hi}"
             );
+            let (pa, pb) = (m.power(a), m.power(b));
             prop_assert!(
-                a.power.get() <= b.power.get() + 1e-6,
-                "power not monotone: {} vs {}", a.power, b.power
+                pa.get() <= pb.get() + 1e-6,
+                "power not monotone: {pa} vs {pb}"
             );
         }
 
@@ -1092,22 +919,16 @@ mod tests {
         fn best_effort_is_bounded_by_the_ceiling(
             bids in proptest::collection::vec((0.01f64..2.0, 0.0f64..1.0), 1..30),
         ) {
-            let ps: Vec<Participant> = bids
-                .iter()
-                .enumerate()
-                .map(|(i, (delta, bid))| job(i as u64, *delta, *bid))
-                .collect();
-            let attainable = attainable_power(&ps);
-            let max_activation = ps
-                .iter()
-                .filter_map(|p| p.supply.activation_price())
-                .fold(0.0f64, |m, a| m.max(a.get()));
+            let m = Market::jobs(&bids);
+            let attainable = m.attainable();
+            let max_activation = bids.iter().fold(0.0f64, |a, (d, b)| a.max(b / d));
             let ceiling = (1000.0 * max_activation).max(1.0);
-            let sol = clear_best_effort(&ps, attainable * 2.0);
-            prop_assert!(sol.price.get() <= ceiling * (1.0 + 1e-12));
+            let price = clear_best_effort(m.cols(), attainable * 2.0);
+            prop_assert!(price.get() <= ceiling * (1.0 + 1e-12));
+            let power = m.power(price);
             prop_assert!(
-                sol.power >= attainable * (1.0 - 2e-3),
-                "ceiling must extract ~all supply: {} of {attainable}", sol.power
+                power >= attainable * (1.0 - 2e-3),
+                "ceiling must extract ~all supply: {power} of {attainable}"
             );
         }
     }

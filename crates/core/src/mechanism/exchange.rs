@@ -23,13 +23,11 @@
 use crate::market::faults::{ConvergenceWatchdog, Quarantine, ResilientConfig};
 use crate::market::interactive::BiddingAgent;
 use crate::market::transport::TransportDiagnostics;
-use crate::mclr;
+use crate::mclr::{self, BidColumns};
 use crate::mechanism::interactive::DampedPrice;
 use crate::mechanism::{
     Clearing, Diagnostics, InstanceView, MarketInstance, Mechanism, MechanismError, ParticipantSpec,
 };
-use crate::participant::Participant;
-use crate::supply::SupplyFunction;
 use crate::units::{Price, Watts};
 
 /// One registered agent's book-keeping.
@@ -44,12 +42,13 @@ pub(crate) struct AgentSlot {
 }
 
 impl AgentSlot {
-    /// The slot's live supply, unless it is quarantined or never bid.
-    fn live_supply(&self) -> Option<SupplyFunction> {
-        if self.quarantined {
-            return None;
+    /// The slot's live bid; NaN, so that the slot sits out of a re-solve,
+    /// when it is quarantined, never bid or bid below 0.
+    fn live_bid(&self) -> f64 {
+        match self.last_bid {
+            Some(b) if !self.quarantined && b >= 0.0 => b,
+            _ => f64::NAN,
         }
-        SupplyFunction::new(self.agent.delta_max(), self.last_bid?).ok()
     }
 }
 
@@ -167,19 +166,9 @@ impl<C> FaultTolerantExchange<C> {
             .collect()
     }
 
-    /// Participants for the surviving (non-quarantined) slots with a live
-    /// bid.
-    fn survivor_participants(&self) -> Vec<Participant> {
-        self.slots
-            .iter()
-            .filter_map(|s| {
-                Some(Participant::new(
-                    s.agent.job_id(),
-                    s.live_supply()?,
-                    Watts::new(s.agent.watts_per_unit()),
-                ))
-            })
-            .collect()
+    /// Every slot's live bid, in slot order.
+    fn live_bids(&self) -> Vec<f64> {
+        self.slots.iter().map(AgentSlot::live_bid).collect()
     }
 
     /// Every slot's effective bid — last live, else registered cooperative,
@@ -235,6 +224,12 @@ impl<C: RoundCollector> Mechanism for FaultTolerantExchange<C> {
             ));
         }
 
+        let deltas: Vec<f64> = self.slots.iter().map(|s| s.agent.delta_max()).collect();
+        let watts: Vec<f64> = self
+            .slots
+            .iter()
+            .map(|s| s.agent.watts_per_unit())
+            .collect();
         let cfg = self.config;
         let mut price = DampedPrice::new(&cfg.interactive);
         let mut watchdog = ConvergenceWatchdog::new(cfg.watchdog_window, cfg.divergence_min_change);
@@ -252,12 +247,12 @@ impl<C: RoundCollector> Mechanism for FaultTolerantExchange<C> {
             {
                 break;
             }
-            let participants = self.survivor_participants();
-            if participants.is_empty() {
+            let bids = self.live_bids();
+            let survivors = BidColumns::new(&deltas, &bids, &watts);
+            if survivors.is_empty() {
                 break;
             }
-            let sol = mclr::clear_best_effort(&participants, target);
-            match price.step(sol.price, &cfg.interactive) {
+            match price.step(mclr::clear_best_effort(survivors, target), &cfg.interactive) {
                 None => {
                     converged = true;
                     break;
@@ -272,16 +267,12 @@ impl<C: RoundCollector> Mechanism for FaultTolerantExchange<C> {
 
         // Final solve: replace the damped announcement with the price that
         // actually clears the surviving supplies.
-        let survivors = self.survivor_participants();
+        let bids = self.live_bids();
+        let survivors = BidColumns::new(&deltas, &bids, &watts);
         let healthy = converged && !diverged && !survivors.is_empty();
         let (clearing_price, reductions) = if healthy {
-            let sol = mclr::clear_best_effort(&survivors, target);
-            let reductions = self
-                .slots
-                .iter()
-                .map(|s| s.live_supply().map_or(0.0, |f| f.supply(sol.price)))
-                .collect();
-            (sol.price, reductions)
+            let price = mclr::clear_best_effort(survivors, target);
+            (price, survivors.reductions(price))
         } else {
             // Nothing usable from the exchange; the chain's next stage
             // re-clears from the observed bids.

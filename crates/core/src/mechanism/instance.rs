@@ -6,7 +6,7 @@
 //! conversion, a core count, and (for the cost-aware schemes) a private
 //! cost curve. [`MarketInstance`] materializes that instance **once per
 //! overload** as contiguous parallel arrays, so solvers read straight from
-//! slices instead of each re-cloning its own `Vec<Participant>` — the
+//! slices instead of each re-cloning its own array of row structs — the
 //! single seam later PRs need for batched/parallel/sharded clearing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,8 +15,10 @@ use std::sync::Arc;
 use crate::cost::CostModel;
 use crate::mechanism::view::{GroupId, InstanceView};
 use crate::mechanism::MechanismError;
-use crate::participant::{JobId, Participant};
 use crate::units::Watts;
+
+/// Identifier of a job participating in the market.
+pub type JobId = u64;
 
 /// Monotonic instance-identity counter; lets mechanisms cache per-instance
 /// state (`prepare`) and detect staleness without hashing array contents.
@@ -98,13 +100,6 @@ impl ParticipantSpec {
     pub fn with_cost(mut self, cost: Arc<dyn CostModel>) -> Self {
         self.cost = Some(cost);
         self
-    }
-}
-
-impl From<&Participant> for ParticipantSpec {
-    fn from(p: &Participant) -> Self {
-        ParticipantSpec::new(p.id, p.supply.delta_max(), Watts::new(p.watts_per_unit))
-            .with_bid(p.supply.bid())
     }
 }
 
@@ -423,7 +418,6 @@ impl FromIterator<ParticipantSpec> for MarketInstance {
 mod tests {
     use super::*;
     use crate::cost::QuadraticCost;
-    use crate::supply::SupplyFunction;
 
     #[test]
     fn arrays_stay_parallel_and_defaults_apply() {
@@ -500,11 +494,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_from_participant_carries_the_bid() {
-        let p = Participant::new(7, SupplyFunction::new(2.0, 0.4).unwrap(), Watts::new(125.0));
-        let inst: MarketInstance = [ParticipantSpec::from(&p)].into_iter().collect();
+    fn spec_with_bid_carries_the_bid() {
+        let spec = ParticipantSpec::new(7, 2.0, Watts::new(125.0)).with_bid(0.4);
+        let inst: MarketInstance = [spec].into_iter().collect();
         assert_eq!(inst.ids(), &[7]);
         assert_eq!(inst.bid(0), Some(0.4));
         assert_eq!(inst.deltas(), &[2.0]);
+        assert_eq!(inst.watts_per_unit_slice(), &[125.0]);
     }
 }

@@ -11,9 +11,8 @@ use std::sync::Arc;
 use crate::cost::CostModel;
 use crate::error::MarketError;
 use crate::market::interactive::{is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent};
-use crate::mclr;
+use crate::mclr::{self, BidColumns};
 use crate::mechanism::{Clearing, Diagnostics, InstanceView, Mechanism, MechanismError};
-use crate::participant::Participant;
 use crate::supply::SupplyFunction;
 use crate::units::{Price, Watts};
 
@@ -200,23 +199,24 @@ impl Mechanism for InteractiveMechanism {
         let cfg = self.config;
         let mut price = DampedPrice::new(&cfg);
         let mut converged = false;
-        let mut participants: Vec<Participant> = Vec::with_capacity(agents.len());
+        let deltas: Vec<f64> = agents.iter().map(|(_, a)| a.delta_max()).collect();
+        let watts: Vec<f64> = agents.iter().map(|(_, a)| a.watts_per_unit()).collect();
+        // NaN until an agent has bid: a row without a bid sits out.
+        let mut bids = vec![f64::NAN; agents.len()];
         let mut iterations = 0;
         for _ in 0..cfg.max_iterations {
             iterations += 1;
-            participants.clear();
-            for (_, agent) in &mut agents {
+            for (((_, agent), bid), &delta) in agents.iter_mut().zip(&mut bids).zip(&deltas) {
                 // A rational agent's best response is finite by
                 // construction.
-                let bid = agent.respond(price.announced().get())?;
-                participants.push(Participant::new(
-                    agent.job_id(),
-                    SupplyFunction::new(agent.delta_max(), bid.max(0.0))?,
-                    Watts::new(agent.watts_per_unit()),
-                ));
+                let response = agent.respond(price.announced().get())?;
+                *bid = SupplyFunction::new(delta, response.max(0.0))?.bid();
             }
-            let sol = mclr::clear_best_effort(&participants, target);
-            if price.step(sol.price, &cfg).is_none() {
+            let market = BidColumns::new(&deltas, &bids, &watts);
+            if price
+                .step(mclr::clear_best_effort(market, target), &cfg)
+                .is_none()
+            {
                 converged = true;
                 break;
             }
@@ -225,7 +225,8 @@ impl Mechanism for InteractiveMechanism {
         // Final clearing with the last bids: one more MClr solve replaces
         // the damped/announced price by one that actually meets the target
         // with these supplies.
-        let clearing_price = mclr::clear_best_effort(&participants, target).price;
+        let market = BidColumns::new(&deltas, &bids, &watts);
+        let clearing_price = mclr::clear_best_effort(market, target);
         // The round-cap safeguard takes the last price — sound when the
         // trajectory stalled short of tolerance, but a bogus clearing when
         // it is *cycling*. Surface the cycle as a typed error so a
@@ -238,9 +239,9 @@ impl Mechanism for InteractiveMechanism {
             });
         }
         let mut reductions = vec![0.0; view.len()];
-        for ((row, _), p) in agents.iter().zip(&participants) {
-            if let Some(r) = reductions.get_mut(*row) {
-                *r = p.supply.supply(clearing_price);
+        for ((row, _), r) in agents.iter().zip(market.reductions(clearing_price)) {
+            if let Some(slot) = reductions.get_mut(*row) {
+                *slot = r;
             }
         }
         let diagnostics = Diagnostics {

@@ -46,7 +46,7 @@ pub use auction::VcgMechanism;
 pub use chain::FallbackChain;
 pub use equal::{EqlCappingMechanism, EqlMechanism};
 pub use exchange::FaultTolerantExchange;
-pub use instance::{MarketInstance, ParticipantSpec};
+pub use instance::{JobId, MarketInstance, ParticipantSpec};
 pub use interactive::InteractiveMechanism;
 pub use optimal::{OptMechanism, OptMethod};
 pub use resilient::{InProcessRounds, ResilientInteractiveMechanism};
@@ -57,7 +57,6 @@ pub use view::{GroupId, InstanceView};
 use crate::error::MarketError;
 use crate::market::faults::{ChainLevel, Quarantine};
 use crate::market::transport::TransportDiagnostics;
-use crate::participant::JobId;
 use crate::units::{CoreHours, Price, Watts};
 
 /// Errors shared by every mechanism.

@@ -17,8 +17,8 @@
 use std::sync::Arc;
 
 use crate::cost::CostModel;
+use crate::mechanism::JobId;
 use crate::mechanism::{MarketInstance, MechanismError};
-use crate::participant::JobId;
 use crate::units::Watts;
 
 /// Identifies one partition group (e.g. a rack-level subtree market) in

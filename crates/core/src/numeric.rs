@@ -68,7 +68,7 @@ pub(crate) fn reaches(value: f64, threshold: f64) -> Option<bool> {
 /// when it falls short, or when no midpoint reaches; an unordered point
 /// counts as falling short inside the bracket and at `lo`, and keeps the
 /// search going at `hi`. A caller that can answer some queries without
-/// evaluating its function (see [`crate::mclr::solve`]) passes its own
+/// evaluating its function (MClr's replayed search) passes its own
 /// predicate here.
 ///
 /// # Errors

@@ -74,11 +74,11 @@ fn main() {
             .zip(&jobs)
             .map(|(&r, j)| j.cost(r))
             .sum();
-        let lin = mclr::solve_supplies(&linear, target).expect("feasible");
+        let lin_price = mclr::solve_supplies(&linear, target).expect("feasible");
         let lin_cost: f64 = linear
             .iter()
             .zip(&jobs)
-            .map(|((s, _), j)| j.cost(s.supply(lin.price.get())))
+            .map(|((s, _), j)| j.cost(s.supply(lin_price.get())))
             .sum();
         let best = OptMechanism::strict(OptMethod::Auto)
             .clear(&instance, target)
@@ -92,7 +92,7 @@ fn main() {
         rows.push(vec![
             fmt(100.0 * frac, 0),
             fmt(hyp.price().get(), 3),
-            fmt(lin.price.get(), 3),
+            fmt(lin_price.get(), 3),
             fmt(hyp_cost, 1),
             fmt(lin_cost, 1),
             fmt(best_cost, 1),

@@ -9,10 +9,8 @@ fn assert_error<T: std::error::Error + Send + Sync + 'static>() {}
 fn public_types_are_send_and_sync() {
     assert_send_sync::<mpr_core::SupplyFunction>();
     assert_send_sync::<mpr_core::LinearSupply>();
-    assert_send_sync::<mpr_core::Participant>();
     assert_send_sync::<mpr_core::Clearing>();
     assert_send_sync::<mpr_core::MarketInstance>();
-    assert_send_sync::<mpr_core::ClearingIndex>();
     assert_send_sync::<mpr_core::QuadraticCost>();
     assert_send_sync::<mpr_apps::AppProfile>();
     assert_send_sync::<mpr_apps::ProfileCost>();
